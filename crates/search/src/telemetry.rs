@@ -95,11 +95,11 @@ pub struct PlannerMetrics {
     /// Inner-loop candidate evaluations of the Eq. 13 segment merges.
     pub merge_relaxations: u64,
     /// Interior partition states removed by dominance pruning across all
-    /// nodes (0 on the default no-prune path).
+    /// nodes (0 when no interior state is dominated).
     pub states_pruned: u64,
     /// Stage 1 (spaces + intra vectors) wall seconds.
     pub spaces_intra_seconds: f64,
-    /// Dominance-pruning stage wall seconds (0 when pruning is off).
+    /// Dominance-pruning stage wall seconds.
     pub prune_seconds: f64,
     /// Stage 2 (edge-cost matrices) wall seconds.
     pub edge_matrices_seconds: f64,
@@ -144,7 +144,7 @@ impl PlannerMetrics {
     /// The run's pipeline stages as ordered `(name, wall_seconds)` spans, in
     /// execution order — the hook request-scoped tracing uses to synthesize
     /// per-stage spans without threading callbacks through the DP itself.
-    /// Zero-duration stages (e.g. `prune` when pruning is off) are skipped.
+    /// Zero-duration stages are skipped.
     pub fn stage_spans(&self) -> Vec<(&'static str, f64)> {
         [
             ("spaces_intra", self.spaces_intra_seconds),

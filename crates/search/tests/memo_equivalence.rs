@@ -1,89 +1,26 @@
-//! ISSUE 2 acceptance: the memoized planner is *bitwise-identical* to the
-//! seed path. Structural memoization, profile interning, whole-matrix reuse
-//! and the blocked min-plus kernels may only change *where* numbers come
-//! from, never the numbers — `seqs`, `layer_cost` and `total_cost` must
-//! agree to the last bit across the full `SpaceOptions` grid and for both
-//! the serial and the multi-threaded planner.
+//! The planner has one path — structural memoization, dominance pruning and
+//! the lane-tiled min-plus kernels — and it must reproduce the removed seed
+//! path (per-node spaces, per-edge matrices, scalar min-plus, no pruning)
+//! *bitwise*: `seqs`, `layer_cost` and `total_cost` agree to the last bit
+//! with `golden/seed_plans.txt` across the full `SpaceOptions` grid, on a
+//! second model, and for the serial and the multi-threaded planner.
 
+mod common;
+
+use common::{assert_matches_seed, space_grid};
 use primepar_graph::ModelConfig;
-use primepar_search::{Planner, PlannerOptions, SpaceOptions};
-use primepar_topology::Cluster;
-
-/// The option grid of the ISSUE: temporal on/off × batch splits on/off ×
-/// temporal depth, crossed with thread counts.
-fn space_grid() -> Vec<SpaceOptions> {
-    let mut grid = Vec::new();
-    for allow_temporal in [true, false] {
-        for allow_batch_split in [true, false] {
-            for max_temporal_k in [1, 2] {
-                grid.push(SpaceOptions {
-                    allow_temporal,
-                    allow_batch_split,
-                    max_temporal_k,
-                });
-            }
-        }
-    }
-    grid
-}
-
-fn assert_plans_bitwise_equal(
-    cluster: &Cluster,
-    graph: &primepar_graph::Graph,
-    layers: u64,
-    space: SpaceOptions,
-    threads: usize,
-) {
-    let seed = Planner::new(
-        cluster,
-        graph,
-        PlannerOptions::default()
-            .with_space(space)
-            .with_threads(threads)
-            .with_memoize(false),
-    )
-    .optimize(layers);
-    let memo = Planner::new(
-        cluster,
-        graph,
-        PlannerOptions::default()
-            .with_space(space)
-            .with_threads(threads)
-            .with_memoize(true),
-    )
-    .optimize(layers);
-    assert_eq!(
-        seed.seqs, memo.seqs,
-        "plan diverged ({space:?}, threads {threads})"
-    );
-    assert_eq!(
-        seed.layer_cost.to_bits(),
-        memo.layer_cost.to_bits(),
-        "layer cost diverged ({space:?}, threads {threads}): {} vs {}",
-        seed.layer_cost,
-        memo.layer_cost
-    );
-    assert_eq!(
-        seed.total_cost.to_bits(),
-        memo.total_cost.to_bits(),
-        "total cost diverged ({space:?}, threads {threads}): {} vs {}",
-        seed.total_cost,
-        memo.total_cost
-    );
-}
+use primepar_search::SpaceOptions;
 
 #[test]
 fn memoized_planner_is_bitwise_identical_across_the_option_grid() {
-    let cluster = Cluster::v100_like(4);
     let graph = ModelConfig::opt_6_7b().layer_graph(8, 512);
     for space in space_grid() {
-        assert_plans_bitwise_equal(&cluster, &graph, 4, space, 1);
+        assert_matches_seed("opt-6.7b(8,512)", 4, &graph, 4, space, 1);
     }
 }
 
 #[test]
 fn memoized_planner_is_bitwise_identical_with_threads() {
-    let cluster = Cluster::v100_like(8);
     let graph = ModelConfig::opt_6_7b().layer_graph(8, 512);
     for space in [
         SpaceOptions::default(),
@@ -92,7 +29,9 @@ fn memoized_planner_is_bitwise_identical_with_threads() {
             ..SpaceOptions::default()
         },
     ] {
-        assert_plans_bitwise_equal(&cluster, &graph, 4, space, 4);
+        for threads in [0, 4] {
+            assert_matches_seed("opt-6.7b(8,512)", 8, &graph, 4, space, threads);
+        }
     }
 }
 
@@ -100,49 +39,26 @@ fn memoized_planner_is_bitwise_identical_with_threads() {
 fn memoized_planner_is_bitwise_identical_on_a_second_model() {
     // A different layer shape (LLaMA's SwiGLU widths) exercises other
     // signature/extent combinations through the same caches.
-    let cluster = Cluster::v100_like(8);
     let graph = ModelConfig::llama2_7b().layer_graph(8, 512);
-    assert_plans_bitwise_equal(&cluster, &graph, 2, SpaceOptions::default(), 1);
+    assert_matches_seed("llama2-7b(8,512)", 8, &graph, 2, SpaceOptions::default(), 1);
 }
 
 #[test]
 fn memoization_reduces_cost_model_work() {
-    // The counters behind the speedup: fewer Eq. 7 evaluations (one vector
-    // per unique signature) and fewer Eq. 8-9 cells (one per unique matrix),
-    // with the structural caches reporting real hits.
-    let cluster = Cluster::v100_like(8);
+    // The counters behind the speedup, pinned exactly: one Eq. 7 vector per
+    // unique signature and one Eq. 8-9 matrix per unique (signature pair,
+    // edge) key, with the structural caches reporting real hits. The seed
+    // path made 512 intra and 22,788 edge evaluations on this point.
     let graph = ModelConfig::opt_6_7b().layer_graph(8, 512);
-    let (_, seed_tm) = Planner::new(
-        &cluster,
-        &graph,
-        PlannerOptions::default().with_memoize(false),
-    )
-    .optimize_instrumented(4);
-    let (_, memo_tm) =
-        Planner::new(&cluster, &graph, PlannerOptions::default()).optimize_instrumented(4);
-
+    let tm = assert_matches_seed("opt-6.7b(8,512)", 8, &graph, 4, SpaceOptions::default(), 0);
     // 13 ops share 10 signatures; 3 intra vectors come for free.
-    assert_eq!(memo_tm.unique_signatures, 10);
-    assert_eq!(memo_tm.space_cache_misses, 10);
-    assert_eq!(memo_tm.space_cache_hits, 3);
-    assert!(
-        memo_tm.intra_evaluations < seed_tm.intra_evaluations,
-        "intra {} !< {}",
-        memo_tm.intra_evaluations,
-        seed_tm.intra_evaluations
-    );
-    assert!(
-        memo_tm.edge_evaluations < seed_tm.edge_evaluations,
-        "edge {} !< {}",
-        memo_tm.edge_evaluations,
-        seed_tm.edge_evaluations
-    );
-    assert!(memo_tm.profile_cache_hits > 0);
-    assert!(memo_tm.edge_matrix_cache_hits > 0);
-    // The seed path reports no cache traffic at all.
-    assert_eq!(seed_tm.space_cache_hits + seed_tm.space_cache_misses, 0);
-    assert_eq!(
-        seed_tm.edge_matrix_cache_hits + seed_tm.edge_matrix_cache_misses,
-        0
-    );
+    assert_eq!(tm.unique_signatures, 10);
+    assert_eq!(tm.space_cache_misses, 10);
+    assert_eq!(tm.space_cache_hits, 3);
+    assert_eq!(tm.intra_evaluations, 431);
+    assert_eq!(tm.edge_evaluations, 21_330);
+    assert_eq!(tm.profile_cache_hits, 8);
+    assert_eq!(tm.profile_cache_misses, 48);
+    assert_eq!(tm.edge_matrix_cache_hits, 2);
+    assert_eq!(tm.edge_matrix_cache_misses, 14);
 }

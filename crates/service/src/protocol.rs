@@ -159,8 +159,6 @@ fn parse_plan_request(obj: &Json) -> Result<PlanRequest, Error> {
         layers: field_u64(obj, "layers")?,
         alpha: field_f64(obj, "alpha")?.unwrap_or(defaults.alpha),
         threads: field_u64(obj, "threads")?.map_or(defaults.threads, |n| n as usize),
-        memoize: field_bool(obj, "memoize")?.unwrap_or(defaults.memoize),
-        prune: field_bool(obj, "prune")?.unwrap_or(defaults.prune),
         allow_temporal: field_bool(obj, "allow_temporal")?.unwrap_or(defaults.allow_temporal),
         allow_batch_split: field_bool(obj, "allow_batch_split")?
             .unwrap_or(defaults.allow_batch_split),
@@ -288,7 +286,6 @@ pub fn request_json(req: &PlanRequest) -> Json {
     doc = doc
         .with("alpha", req.alpha)
         .with("threads", req.threads)
-        .with("memoize", req.memoize)
         .with("allow_temporal", req.allow_temporal)
         .with("allow_batch_split", req.allow_batch_split)
         .with("max_temporal_k", req.max_temporal_k)
@@ -300,9 +297,6 @@ pub fn request_json(req: &PlanRequest) -> Json {
     // byte-identically (mirrors the fingerprint's `:st:` suffix rule).
     if req.strategy != SearchStrategy::Exact {
         doc.set("strategy", req.strategy.to_string());
-    }
-    if req.prune {
-        doc.set("prune", true);
     }
     doc
 }
@@ -818,10 +812,21 @@ pub fn serve_lines_with_cache(
             // A reader thread feeds lines through a channel so the main
             // loop can emit finished responses while input is idle —
             // without this, out-of-order completion would still be gated on
-            // the next input line arriving.
-            let (line_tx, lines) = mpsc::channel::<std::io::Result<String>>();
+            // the next input line arriving. Lines travel as raw bytes, so
+            // one that is not UTF-8 is answered in-band instead of ending
+            // the session.
+            let (line_tx, lines) = mpsc::channel::<std::io::Result<Vec<u8>>>();
             scope.spawn(move || {
-                for line in reader.lines() {
+                let mut reader = reader;
+                loop {
+                    let mut buf = Vec::new();
+                    // The line keeps its terminator: frame parsing skips
+                    // trailing whitespace.
+                    let line = match reader.read_until(b'\n', &mut buf) {
+                        Ok(0) => return,
+                        Ok(_) => Ok(buf),
+                        Err(e) => Err(e),
+                    };
                     let failed = line.is_err();
                     if line_tx.send(line).is_err() || failed {
                         return;
@@ -872,8 +877,13 @@ pub fn serve_lines_with_cache(
                 };
                 if let Some(line) = message {
                     let line = line.map_err(io)?;
-                    if !line.trim().is_empty() {
-                        match parse_frame(&line) {
+                    let parsed = match std::str::from_utf8(&line) {
+                        Ok(text) if text.trim().is_empty() => None,
+                        Ok(text) => Some(parse_frame(text)),
+                        Err(e) => Some(Err(Error::protocol(format!("bad frame: {e}")))),
+                    };
+                    if let Some(parsed) = parsed {
+                        match parsed {
                             Err(err) => {
                                 end.errors += 1;
                                 log_event(
@@ -1444,6 +1454,28 @@ mod tests {
         assert_eq!(first.get("type").and_then(Json::as_str), Some("error"));
         let second = parse_json(text.lines().nth(1).expect("line")).expect("json");
         assert_eq!(second.get("type").and_then(Json::as_str), Some("pong"));
+    }
+
+    #[test]
+    fn invalid_utf8_lines_answer_an_error_without_ending_the_session() {
+        let mut input = b"\xff\n".to_vec();
+        input.extend_from_slice(line(r#"{"type":"ping"}"#).as_bytes());
+        input.extend_from_slice(line(r#"{"type":"shutdown"}"#).as_bytes());
+        let mut out = Vec::new();
+        let end = serve_lines(&input[..], &mut out, &ServeOptions::default()).expect("serves");
+        assert_eq!((end.requests, end.errors), (0, 1));
+        let types: Vec<String> = String::from_utf8(out)
+            .expect("utf8")
+            .lines()
+            .map(|l| {
+                let doc = parse_json(l).expect("json");
+                doc.get("type")
+                    .and_then(Json::as_str)
+                    .expect("type")
+                    .to_string()
+            })
+            .collect();
+        assert_eq!(types, ["error", "pong", "bye"]);
     }
 
     #[test]

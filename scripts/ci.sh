@@ -17,15 +17,16 @@ echo "== cargo test =="
 cargo test -q --workspace --offline
 
 echo "== planner smoke timing (OPT-6.7B, 16 devices) =="
-# The memoized planner finishes this point in well under a second; the 60 s
+# The planner finishes this point in well under a second; the 60 s
 # budget is a generous regression tripwire, not a tight perf gate.
 timeout 60 ./target/release/primepar plan --model opt-6.7b --devices 16 \
     >/dev/null || { echo "planner smoke run failed or exceeded 60 s" >&2; exit 1; }
 
-echo "== planner scaling smoke (512-device chain, pruning on) =="
-# One pruned rep of the >=512-device scaling point must land well inside the
-# wall-clock budget, and pruning must be deterministic: two same-seed runs
-# write byte-identical plan files.
+echo "== planner scaling smoke (512-device chain) =="
+# One rep of the >=512-device scaling point (where dominance pruning, always
+# on, drops states) must land well inside the wall-clock budget, and the
+# pruned plan must be deterministic: two same-seed runs write byte-identical
+# plan files.
 scaling="$(mktemp -d)"
 timeout 120 ./target/release/bench_planner --scale-smoke \
     --plan-out "$scaling/scale1.plan.txt" >/dev/null \
