@@ -358,39 +358,41 @@ impl DirectionTables {
         let mut table = Vec::new();
         let mut need_pre = vec![0u32; needs.len() * devices];
         let mut hold_rank = vec![0u32; holds.len() * devices];
-        // Devices that observe the same local unique sets (common — a
-        // symmetric split makes device groups interchangeable) share one
-        // table block; only their rank arrays stay per-device. Within
-        // distinct blocks, each global (need, hold) pair's overlap is still
-        // computed only once, via the pair memo.
-        let mut block_of: HashMap<(Vec<u32>, Vec<u32>), (usize, usize)> = HashMap::new();
-        let mut memo = PairMemo::new(needs.uniques.len() * 4);
         let mut need_scratch = RankScratch::for_side(needs);
         let mut hold_scratch = RankScratch::for_side(holds);
+        // The device's hold intervals, struct-of-arrays: `lo[axis][h]`.
+        let mut lo: [Vec<f64>; Axis::COUNT] = Default::default();
+        let mut hi: [Vec<f64>; Axis::COUNT] = Default::default();
+        let mut fraction = Vec::new();
         for d in 0..devices {
             let need_locals = needs.locals_at(d, &mut need_scratch);
             let hold_locals = holds.locals_at(d, &mut hold_scratch);
-            let key = (need_locals, hold_locals);
-            let (base, nh) = match block_of.get(&key) {
-                Some(&block) => block,
-                None => {
-                    // The argument order matches the direct path's
-                    // `need.overlap_fraction(hold)`.
-                    let base = table.len();
-                    let nh = key.1.len();
-                    for &ng in &key.0 {
-                        for &hg in &key.1 {
-                            table.push(memo.get_or_insert(ng, hg, || {
-                                total_elems
-                                    * needs.uniques[ng as usize]
-                                        .overlap_fraction(&holds.uniques[hg as usize])
-                            }));
-                        }
-                    }
-                    block_of.insert(key.clone(), (base, nh));
-                    (base, nh)
+            for axis in 0..Axis::COUNT {
+                lo[axis].clear();
+                hi[axis].clear();
+                for &hg in &hold_locals {
+                    let (l, h) = holds.uniques[hg as usize].0[axis];
+                    lo[axis].push(l);
+                    hi[axis].push(h);
                 }
-            };
+            }
+            // One `total · overlap(need, hold)` row per local need. Each
+            // cell multiplies its per-axis overlaps in axis order with the
+            // operands of `need.overlap_fraction(hold)`, so the table is
+            // bitwise what the direct path computes.
+            let base = table.len();
+            let nh = hold_locals.len();
+            for &ng in &need_locals {
+                let need = &needs.uniques[ng as usize].0;
+                fraction.clear();
+                fraction.resize(nh, 1.0);
+                for (axis, &(n_lo, n_hi)) in need.iter().enumerate() {
+                    for ((f, &h_lo), &h_hi) in fraction.iter_mut().zip(&lo[axis]).zip(&hi[axis]) {
+                        *f *= (n_hi.min(h_hi) - n_lo.max(h_lo)).max(0.0);
+                    }
+                }
+                table.extend(fraction.iter().map(|f| total_elems * f));
+            }
             for s in 0..needs.len() {
                 let nr = need_scratch.rank_of[needs.ids[s * devices + d] as usize] as usize;
                 need_pre[s * devices + d] = (base + nr * nh) as u32;
@@ -404,71 +406,6 @@ impl DirectionTables {
             table,
             need_pre,
             hold_rank,
-        }
-    }
-}
-
-/// Open-addressed `(need id, hold id) → value` memo with a multiplicative
-/// hash — a `HashMap` here would spend more time hashing than the overlap
-/// products it saves.
-struct PairMemo {
-    /// Packed key + 1 (`0` = empty slot).
-    keys: Vec<u64>,
-    vals: Vec<f64>,
-    mask: usize,
-    len: usize,
-}
-
-impl PairMemo {
-    fn new(capacity_hint: usize) -> Self {
-        let cap = capacity_hint.next_power_of_two().max(64);
-        PairMemo {
-            keys: vec![0; cap],
-            vals: vec![0.0; cap],
-            mask: cap - 1,
-            len: 0,
-        }
-    }
-
-    fn get_or_insert(&mut self, ng: u32, hg: u32, compute: impl FnOnce() -> f64) -> f64 {
-        let key = (((ng as u64) << 32) | hg as u64) + 1;
-        let mut slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & self.mask;
-        loop {
-            let k = self.keys[slot];
-            if k == key {
-                return self.vals[slot];
-            }
-            if k == 0 {
-                let v = compute();
-                self.keys[slot] = key;
-                self.vals[slot] = v;
-                self.len += 1;
-                if self.len * 2 > self.keys.len() {
-                    self.grow();
-                }
-                return v;
-            }
-            slot = (slot + 1) & self.mask;
-        }
-    }
-
-    fn grow(&mut self) {
-        let cap = self.keys.len() * 2;
-        let (old_keys, old_vals) = (
-            std::mem::replace(&mut self.keys, vec![0; cap]),
-            std::mem::replace(&mut self.vals, vec![0.0; cap]),
-        );
-        self.mask = cap - 1;
-        for (key, val) in old_keys.into_iter().zip(old_vals) {
-            if key == 0 {
-                continue;
-            }
-            let mut slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & self.mask;
-            while self.keys[slot] != 0 {
-                slot = (slot + 1) & self.mask;
-            }
-            self.keys[slot] = key;
-            self.vals[slot] = val;
         }
     }
 }

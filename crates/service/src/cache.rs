@@ -36,7 +36,7 @@ use primepar_search::{
     render_plan, replan, MigrationDecision, ModelPlan, Planner, PlannerMetrics, PlannerWarmCache,
     SearchInterrupt, WarmStats,
 };
-use primepar_sim::{robustness_sweep, simulate_model_with, SimOptions};
+use primepar_sim::{robustness_sweep, simulate_model_with, ModelReport, SimOptions};
 use primepar_topology::Cluster;
 
 use crate::api::{
@@ -84,6 +84,17 @@ impl CachedPlan {
 
 fn weigh(entry: &CachedPlan) -> u64 {
     entry.approx_bytes()
+}
+
+/// A resident memo entry found by [`WarmCache::resident_plan`], with the
+/// request resolved and fingerprinted. Holding it keeps the entry alive until
+/// [`WarmCache::answer_resident`] answers from it.
+#[derive(Debug)]
+pub(crate) struct ResidentPlan {
+    resolved: ResolvedPlan,
+    fingerprint: String,
+    cached: Arc<CachedPlan>,
+    start: Instant,
 }
 
 /// Sizing of a [`WarmCache`]'s whole-plan memo.
@@ -218,11 +229,11 @@ impl WarmCache {
     fn plan_for(
         &self,
         resolved: &ResolvedPlan,
+        fingerprint: &str,
         interrupt: Option<&SearchInterrupt>,
     ) -> (Arc<CachedPlan>, Outcome) {
-        let fingerprint = resolved.fingerprint();
         self.plans
-            .get_or_compute(&fingerprint, || self.plan_cold(resolved, interrupt))
+            .get_or_compute(fingerprint, || self.plan_cold(resolved, interrupt))
     }
 
     /// Seeds the memo with an already-built entry (the restore path).
@@ -236,26 +247,114 @@ impl WarmCache {
         self.plans.for_each(f);
     }
 
+    /// The cache counters a response carries. Reads only what it renders —
+    /// the memo's maintained counters and the cluster count — so it costs
+    /// the same on every reply however many plans are resident.
     fn outcome(&self, outcome: Outcome, metrics: &PlannerMetrics) -> CacheOutcome {
-        let stats = self.stats();
+        let memo = self.plans.stats();
         let planned = outcome == Outcome::Miss;
         CacheOutcome {
             plan_cache_hit: outcome == Outcome::Hit,
             coalesced: outcome == Outcome::Coalesced,
-            plan_cache_hits: stats.plan_hits,
-            plan_cache_misses: stats.plan_misses,
-            plan_cache_coalesced: stats.plan_coalesced,
-            plan_cache_evictions: stats.plan_evictions,
-            plan_cache_bytes: stats.plan_bytes,
+            plan_cache_hits: memo.hits,
+            plan_cache_misses: memo.misses,
+            plan_cache_coalesced: memo.coalesced,
+            plan_cache_evictions: memo.evictions,
+            plan_cache_bytes: memo.weight,
             warm_matrix_hits: if planned { metrics.warm_matrix_hits } else { 0 },
             warm_matrix_misses: if planned {
                 metrics.warm_matrix_misses
             } else {
                 0
             },
-            plans_interned: stats.plans_interned,
-            clusters_interned: stats.clusters_interned,
+            plans_interned: memo.len,
+            clusters_interned: self.clusters.lock().expect("cluster intern lock").len(),
         }
+    }
+
+    /// The plan response for `req` answered from `cached` — shared by the
+    /// pool's path and the admission path, so both render byte-equal bodies
+    /// apart from `elapsed_us`.
+    #[allow(clippy::too_many_arguments)]
+    fn plan_response(
+        &self,
+        req: &PlanRequest,
+        resolved: &ResolvedPlan,
+        fingerprint: String,
+        cached: &CachedPlan,
+        outcome: Outcome,
+        sim: Option<ModelReport>,
+        start: Instant,
+    ) -> PlanResponse {
+        PlanResponse {
+            id: req.id.clone(),
+            fingerprint,
+            model: resolved.model.name.to_string(),
+            devices: resolved.devices,
+            batch: resolved.batch,
+            seq: resolved.seq,
+            layers: resolved.layers,
+            strategy: resolved.opts.strategy,
+            plan: cached.plan.clone(),
+            plan_text: cached.plan_text.clone(),
+            metrics: cached.metrics.clone(),
+            sim,
+            cache: self.outcome(outcome, &cached.metrics),
+            elapsed: start.elapsed(),
+        }
+    }
+
+    /// The resident memo entry for a plan request that does not simulate,
+    /// found without ever planning: `None` when the request simulates, does
+    /// not resolve, or its plan is absent, still in flight or evicted. The
+    /// request is resolved and fingerprinted once; nothing is counted until
+    /// [`WarmCache::answer_resident`] answers it.
+    pub(crate) fn resident_plan(&self, req: &PlanRequest) -> Option<ResidentPlan> {
+        if req.simulate {
+            return None;
+        }
+        let start = Instant::now();
+        let resolved = req.resolve().ok()?;
+        let fingerprint = resolved.fingerprint();
+        let cached = self.plans.get(&fingerprint)?;
+        Some(ResidentPlan {
+            resolved,
+            fingerprint,
+            cached,
+            start,
+        })
+    }
+
+    /// Answers `req` from the entry [`WarmCache::resident_plan`] found and
+    /// counts a memo hit: the response [`WarmCache::execute_plan`] gives for
+    /// a hit, with the same `cache.hit` span. The entry is already held, so
+    /// this never plans, even if it was evicted since.
+    pub(crate) fn answer_resident(
+        &self,
+        req: &PlanRequest,
+        resident: ResidentPlan,
+        trace: Option<&RequestTrace>,
+    ) -> PlanResponse {
+        let lookup_start = trace.map(RequestTrace::now_us);
+        self.plans.count_hit();
+        let ResidentPlan {
+            resolved,
+            fingerprint,
+            cached,
+            start,
+        } = resident;
+        if let (Some(trace), Some(lookup_start)) = (trace, lookup_start) {
+            record_lookup(trace, lookup_start, Outcome::Hit, &cached.metrics);
+        }
+        self.plan_response(
+            req,
+            &resolved,
+            fingerprint,
+            &cached,
+            Outcome::Hit,
+            None,
+            start,
+        )
     }
 
     /// Executes a plan request against the cache.
@@ -304,8 +403,9 @@ impl WarmCache {
     ) -> Result<PlanResponse, Error> {
         let start = Instant::now();
         let resolved = req.resolve()?;
+        let fingerprint = resolved.fingerprint();
         let lookup_start = trace.map(RequestTrace::now_us);
-        let (cached, outcome) = self.plan_for(&resolved, interrupt);
+        let (cached, outcome) = self.plan_for(&resolved, &fingerprint, interrupt);
         if let (Some(trace), Some(lookup_start)) = (trace, lookup_start) {
             record_lookup(trace, lookup_start, outcome, &cached.metrics);
         }
@@ -329,22 +429,7 @@ impl WarmCache {
         } else {
             None
         };
-        Ok(PlanResponse {
-            id: req.id.clone(),
-            fingerprint: resolved.fingerprint(),
-            model: resolved.model.name.to_string(),
-            devices: resolved.devices,
-            batch: resolved.batch,
-            seq: resolved.seq,
-            layers: resolved.layers,
-            strategy: resolved.opts.strategy,
-            plan: cached.plan.clone(),
-            plan_text: cached.plan_text.clone(),
-            metrics: cached.metrics.clone(),
-            sim,
-            cache: self.outcome(outcome, &cached.metrics),
-            elapsed: start.elapsed(),
-        })
+        Ok(self.plan_response(req, &resolved, fingerprint, &cached, outcome, sim, start))
     }
 
     /// Executes a simulation request: plans (or recalls) the workload, then
@@ -370,8 +455,9 @@ impl WarmCache {
     ) -> Result<SimResponse, Error> {
         let start = Instant::now();
         let (resolved, sim_opts, sweep) = req.resolve()?;
+        let fingerprint = resolved.fingerprint();
         let lookup_start = trace.map(RequestTrace::now_us);
-        let (cached, outcome) = self.plan_for(&resolved, None);
+        let (cached, outcome) = self.plan_for(&resolved, &fingerprint, None);
         if let (Some(trace), Some(lookup_start)) = (trace, lookup_start) {
             record_lookup(trace, lookup_start, outcome, &cached.metrics);
         }
@@ -400,7 +486,7 @@ impl WarmCache {
         }
         Ok(SimResponse {
             id: req.id.clone(),
-            fingerprint: resolved.fingerprint(),
+            fingerprint,
             report,
             cache: self.outcome(outcome, &cached.metrics),
             elapsed: start.elapsed(),
@@ -434,8 +520,9 @@ impl WarmCache {
     ) -> Result<ReplanResponse, Error> {
         let start = Instant::now();
         let (resolved, applied, opts) = req.resolve()?;
+        let fingerprint = resolved.fingerprint();
         let lookup_start = trace.map(RequestTrace::now_us);
-        let (cached, outcome) = self.plan_for(&resolved, None);
+        let (cached, outcome) = self.plan_for(&resolved, &fingerprint, None);
         if let (Some(trace), Some(lookup_start)) = (trace, lookup_start) {
             record_lookup(trace, lookup_start, outcome, &cached.metrics);
         }
@@ -463,7 +550,7 @@ impl WarmCache {
         self.replans[slot].fetch_add(1, Ordering::Relaxed);
         Ok(ReplanResponse {
             id: req.id.clone(),
-            fingerprint: resolved.fingerprint(),
+            fingerprint,
             decision: decision.decision,
             outcome: decision,
             cache: self.outcome(outcome, &cached.metrics),

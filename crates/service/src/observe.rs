@@ -144,11 +144,12 @@ impl RequestTrace {
         inner.spans.len() - 1
     }
 
-    /// Marks worker pickup: opens the `exec` span on `worker`'s lane.
-    pub fn begin_exec(&self, worker: usize) {
+    /// Marks pickup: opens the `exec` span on `worker`'s lane, or on the
+    /// serve loop's lane for `None` (a request answered at admission).
+    pub fn begin_exec(&self, worker: Option<usize>) {
         let now = self.now_us();
         let mut inner = self.inner.lock().expect("trace lock");
-        inner.worker = Some(worker);
+        inner.worker = worker;
         inner.spans.push(SpanRecord {
             name: "exec".to_string(),
             start_us: now,
@@ -392,6 +393,14 @@ impl ServiceObserver {
         }
     }
 
+    /// The serve loop answered an accepted request itself (an admission
+    /// hit): it counts as started, like a worker pickup, so `queue_depth`
+    /// stays accepted-but-not-started. It finishes through
+    /// [`ServiceObserver::complete_request`] like every other request.
+    pub(crate) fn job_inline(&self) {
+        self.started.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Worker `idx` finished a job after `busy_us` microseconds.
     pub fn job_finished(&self, idx: usize, busy_us: u64) {
         if let Some(slot) = self.workers.get(idx) {
@@ -455,8 +464,9 @@ impl ServiceObserver {
     }
 
     fn absorb_chrome(&self, trace: &RequestTrace) {
-        // One lane per worker: lane 0 is the serve loop (requests that
-        // never reached a worker), lanes 1..=N are the pool.
+        // One lane per worker: lane 0 is the serve loop (admission hits,
+        // and requests that never reached a worker), lanes 1..=N are the
+        // pool.
         let tid = trace.worker().map_or(0, |w| w as u64 + 1);
         let mut events = self.trace_events.lock().expect("trace events lock");
         for (idx, span) in trace.spans().iter().enumerate() {
@@ -748,7 +758,7 @@ mod tests {
     fn span_trees_are_well_nested_by_construction() {
         let obs = observer();
         let trace = obs.begin_request("t-1".to_string(), 1, "plan");
-        trace.begin_exec(1);
+        trace.begin_exec(Some(1));
         let exec = trace.exec_span();
         let lookup_start = trace.now_us();
         while trace.now_us() < lookup_start + 60 {
@@ -850,7 +860,7 @@ mod tests {
             ..ObserveOptions::default()
         });
         let trace = obs.begin_request("t-1".into(), 7, "plan");
-        trace.begin_exec(1);
+        trace.begin_exec(Some(1));
         trace.end_exec();
         obs.complete_request(&trace, record(7, "ok"));
         let events = primepar_obs::parse_trace(&obs.chrome_trace()).expect("valid trace");

@@ -14,11 +14,15 @@
 //!
 //! Responses are **out of order**: each is emitted as soon as its worker
 //! finishes, so under parallel workers a cheap request overtakes an
-//! expensive one submitted earlier. Every plan/sim/replan response carries
-//! two correlation keys: the echoed client `id` and a server-assigned
-//! `request_id` — a `u64` counting accepted plan/sim/replan frames in
-//! submission order from 1, so a client that counts its own submissions can
-//! name any request without waiting for a response.
+//! expensive one submitted earlier. A `plan` frame whose plan is already in
+//! the memo (and that does not simulate) is answered at admission by the
+//! serve loop itself, ahead of all queued work. Lines longer than
+//! [`MAX_FRAME_BYTES`] are answered with a `protocol` error. Every
+//! plan/sim/replan response carries two correlation keys: the echoed client
+//! `id` and a server-assigned `request_id` — a `u64` counting accepted
+//! plan/sim/replan frames in submission order from 1, so a client that
+//! counts its own submissions can name any request without waiting for a
+//! response.
 //!
 //! Frame types: `plan`, `sim`, `replan` (v2: the costed migration decision
 //! for a running workload under an observed degradation scenario), `cancel`
@@ -44,10 +48,9 @@
 
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
 use primepar_obs::{parse_json, peak_rss_bytes, ClockMode, Event, EventLevel, EventLog, Json};
 use primepar_search::SearchStrategy;
@@ -55,7 +58,7 @@ use primepar_sim::robustness_json;
 
 use crate::cache::WarmCache;
 use crate::observe::{FlightRecord, ObserveOptions, RequestTrace, ServiceObserver};
-use crate::server::{Pending, PlannerService, ServiceOptions};
+use crate::server::{Pending, PlannerService, ServiceClient, ServiceOptions};
 use crate::{
     Error, PlanRequest, PlanResponse, ReplanRequest, ReplanResponse, SimRequest, SimResponse,
     SERVICE_SCHEMA, SERVICE_SCHEMA_V1,
@@ -514,12 +517,18 @@ enum PendingReply {
     Replan(Pending<ReplanResponse>),
 }
 
-/// One submitted request awaiting its worker.
-struct Reply {
+/// One accepted plan/sim/replan request: what its response, event-log
+/// lines and flight record need.
+struct Accepted {
     request_id: u64,
     id: String,
     legacy: bool,
     trace: Arc<RequestTrace>,
+}
+
+/// One accepted request awaiting its worker.
+struct Reply {
+    accepted: Accepted,
     pending: PendingReply,
 }
 
@@ -569,16 +578,6 @@ fn sanitize_artifact_id(id: &str) -> String {
     }
 }
 
-/// Appends an event to the session log, if one is configured.
-fn log_event(events: &mut Option<EventLog>, event: Event) -> Result<(), Error> {
-    match events {
-        Some(log) => log
-            .emit(event)
-            .map_err(|e| Error::internal(format!("event log write failed: {e}"))),
-        None => Ok(()),
-    }
-}
-
 fn outcome_label(cache: &crate::CacheOutcome) -> &'static str {
     if cache.plan_cache_hit {
         "hit"
@@ -589,142 +588,376 @@ fn outcome_label(cache: &crate::CacheOutcome) -> &'static str {
     }
 }
 
-fn emit(
-    writer: &mut impl Write,
-    end: &mut ServeEnd,
-    opts: &ServeOptions,
-    observer: &ServiceObserver,
-    events: &mut Option<EventLog>,
-    reply: &Reply,
-    verdict: Verdict,
-) -> Result<(), Error> {
-    // Summarize for the flight recorder before the verdict is consumed
-    // building the response document.
-    let (status, outcome, fingerprint) = match &verdict {
-        Verdict::Plan(result) => match result.as_ref() {
-            Ok(resp) => (
-                "ok".to_string(),
-                outcome_label(&resp.cache).to_string(),
-                resp.fingerprint.clone(),
-            ),
-            Err(Error::Cancelled(_)) => ("cancelled".to_string(), "-".into(), String::new()),
-            Err(err) => (format!("error:{}", err.kind()), "-".into(), String::new()),
-        },
-        Verdict::Sim(result) => match result.as_ref() {
-            Ok(resp) => (
-                "ok".to_string(),
-                outcome_label(&resp.cache).to_string(),
-                resp.fingerprint.clone(),
-            ),
-            Err(Error::Cancelled(_)) => ("cancelled".to_string(), "-".into(), String::new()),
-            Err(err) => (format!("error:{}", err.kind()), "-".into(), String::new()),
-        },
-        Verdict::Replan(result) => match result.as_ref() {
-            Ok(resp) => (
-                "ok".to_string(),
-                // The decision is the interesting outcome of a replan, not
-                // the memo result the running plan came from.
-                resp.decision.tag().to_string(),
-                resp.fingerprint.clone(),
-            ),
-            Err(Error::Cancelled(_)) => ("cancelled".to_string(), "-".into(), String::new()),
-            Err(err) => (format!("error:{}", err.kind()), "-".into(), String::new()),
-        },
-    };
-    let mut doc = match verdict {
-        Verdict::Plan(result) => match *result {
-            Ok(resp) => {
-                if let Some(dir) = &opts.plan_dir {
-                    let path = dir.join(format!("{}.plan.txt", sanitize_artifact_id(&reply.id)));
-                    std::fs::write(&path, &resp.plan_text)
-                        .map_err(|e| Error::internal(format!("--plan-dir write failed: {e}")))?;
-                }
-                plan_response_json(&resp, reply.legacy)
-            }
-            Err(err) => {
-                end.errors += 1;
-                error_json(&reply.id, &err)
-            }
-        },
-        Verdict::Sim(result) => match *result {
-            Ok(resp) => sim_response_json(&resp, reply.legacy),
-            Err(err) => {
-                end.errors += 1;
-                error_json(&reply.id, &err)
-            }
-        },
-        Verdict::Replan(result) => match *result {
-            Ok(resp) => replan_response_json(&resp, reply.legacy),
-            Err(err) => {
-                end.errors += 1;
-                error_json(&reply.id, &err)
-            }
-        },
-    };
-    doc.set("request_id", reply.request_id);
-    doc.set("trace_id", reply.trace.trace_id());
-    doc.set("peak_rss_bytes", peak_rss_bytes());
-    writeln!(writer, "{}", doc.render())
-        .map_err(|e| Error::internal(format!("write failed: {e}")))?;
+/// Longest request line `serve` accepts, in bytes, not counting its
+/// terminator. A longer line is skipped without being buffered and answered
+/// with an in-band `protocol` error; the session keeps serving.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
-    let trace = &reply.trace;
-    let elapsed_us = trace.elapsed_us();
-    let stages: Vec<(String, u64)> = trace
-        .spans()
-        .iter()
-        .skip(1) // the root `request` span is the elapsed time itself
-        .map(|span| (span.name.clone(), span.dur_us))
-        .collect();
-    let slow = observer.complete_request(
-        trace,
-        FlightRecord {
-            request_id: reply.request_id,
-            id: reply.id.clone(),
-            trace_id: trace.trace_id().to_string(),
-            kind: trace.kind().to_string(),
-            fingerprint,
-            outcome: outcome.clone(),
-            status: status.clone(),
-            elapsed_us,
-            worker: trace.worker(),
-            stages: stages.clone(),
-        },
-    );
-    let level = if status == "ok" {
-        EventLevel::Info
-    } else {
-        EventLevel::Error
-    };
-    let mut done = Event::new(level, "request.done")
-        .context(trace.trace_id(), "s0")
-        .field("kind", trace.kind())
-        .field("id", reply.id.as_str())
-        .field("request_id", reply.request_id)
-        .field("status", status.as_str())
-        .field("outcome", outcome.as_str());
-    // Wall-derived fields would break the logical clock's byte-identical
-    // same-input guarantee; the flight recorder still has them.
-    if !opts.logical_clock {
-        done = done.field("elapsed_us", elapsed_us);
-        if let Some(worker) = trace.worker() {
-            done = done.field("worker", worker as u64);
+/// What wakes the serve loop. Input lines, end of input and pool
+/// completions share one channel, so the loop sleeps in one blocking `recv`
+/// and wakes for whichever comes first.
+enum Inbound {
+    /// One input line (terminator included), or the protocol error that
+    /// answers a line over [`MAX_FRAME_BYTES`].
+    Line(Result<Vec<u8>, Error>),
+    /// A pool job sent its verdict, or dropped its reply unsent.
+    Done,
+    /// Input ended: `Ok` at EOF, `Err` when reading failed.
+    Closed(std::io::Result<()>),
+}
+
+/// Reads the next input line, bounded by [`MAX_FRAME_BYTES`]; `None` at
+/// EOF.
+fn read_frame(reader: &mut impl BufRead) -> std::io::Result<Option<Result<Vec<u8>, Error>>> {
+    let mut line = Vec::new();
+    let limit = MAX_FRAME_BYTES as u64 + 1;
+    if std::io::Read::take(&mut *reader, limit).read_until(b'\n', &mut line)? == 0 {
+        return Ok(None);
+    }
+    if line.len() <= MAX_FRAME_BYTES || line.ends_with(b"\n") {
+        return Ok(Some(Ok(line)));
+    }
+    // Oversized: skip to the end of the line without keeping it.
+    loop {
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        // The line ends at its newline, or at EOF (an empty chunk).
+        let (used, ended) = match chunk.iter().position(|&b| b == b'\n') {
+            Some(at) => (at + 1, true),
+            None => (chunk.len(), chunk.is_empty()),
+        };
+        reader.consume(used);
+        if ended {
+            return Ok(Some(Err(Error::protocol(format!(
+                "frame exceeds {MAX_FRAME_BYTES} bytes"
+            )))));
         }
     }
-    log_event(events, done)?;
-    if slow {
-        let mut warn = Event::new(EventLevel::Warn, "request.slow")
+}
+
+fn io_error(e: std::io::Error) -> Error {
+    Error::internal(format!("transport failed: {e}"))
+}
+
+/// The state of one serve session: what it has accepted, what is still in
+/// flight, and where it reports.
+struct Session<'s> {
+    opts: &'s ServeOptions,
+    observer: &'s ServiceObserver,
+    cache: &'s WarmCache,
+    events: Option<EventLog>,
+    end: ServeEnd,
+    pending: Vec<Reply>,
+}
+
+impl Session<'_> {
+    /// Appends an event to the session log, if one is configured.
+    fn log(&mut self, event: Event) -> Result<(), Error> {
+        match &mut self.events {
+            Some(log) => log
+                .emit(event)
+                .map_err(|e| Error::internal(format!("event log write failed: {e}"))),
+            None => Ok(()),
+        }
+    }
+
+    /// Whether the loop is done: input is over (EOF or `shutdown`) and
+    /// every accepted request has been answered.
+    fn finished(&self, input_open: bool) -> bool {
+        self.pending.is_empty() && (!input_open || self.end.shutdown)
+    }
+
+    /// Handles one input line: answers it at once (`ping`, `stats`, errors,
+    /// admission hits) or queues it on the pool.
+    fn on_line(
+        &mut self,
+        writer: &mut impl Write,
+        client: &ServiceClient<'_>,
+        line: Result<Vec<u8>, Error>,
+    ) -> Result<(), Error> {
+        let parsed = match line {
+            Err(err) => Err(err),
+            Ok(bytes) => match std::str::from_utf8(&bytes) {
+                Ok(text) if text.trim().is_empty() => return Ok(()),
+                Ok(text) => parse_frame(text),
+                Err(e) => Err(Error::protocol(format!("bad frame: {e}"))),
+            },
+        };
+        let ParsedFrame {
+            frame,
+            legacy,
+            trace_id,
+        } = match parsed {
+            Ok(parsed) => parsed,
+            Err(err) => {
+                self.end.errors += 1;
+                self.log(
+                    Event::new(EventLevel::Error, "request.rejected")
+                        .field("message", err.message()),
+                )?;
+                writeln!(writer, "{}", error_json("", &err).render()).map_err(io_error)?;
+                return writer.flush().map_err(io_error);
+            }
+        };
+        if legacy {
+            self.observer.note_legacy();
+        }
+        let reply = match frame {
+            Frame::Plan(req) => {
+                let accepted = self.accept("plan", &req.id, req.strategy, trace_id, legacy)?;
+                // A resident plan is answered right here, ahead of queued
+                // work; everything else goes to the pool.
+                if let Some(verdict) = client.answer_resident(&req, Some(&accepted.trace)) {
+                    self.emit(writer, &accepted, Verdict::Plan(Box::new(verdict)))?;
+                    return writer.flush().map_err(io_error);
+                }
+                let trace = Some(accepted.trace.clone());
+                Reply {
+                    accepted,
+                    pending: PendingReply::Plan(client.submit_plan_traced(req, trace)),
+                }
+            }
+            Frame::Sim(req) => {
+                let accepted = self.accept("sim", &req.id, req.plan.strategy, trace_id, legacy)?;
+                let trace = Some(accepted.trace.clone());
+                Reply {
+                    accepted,
+                    pending: PendingReply::Sim(client.submit_sim_traced(req, trace)),
+                }
+            }
+            Frame::Replan(req) => {
+                let accepted =
+                    self.accept("replan", &req.id, req.plan.strategy, trace_id, legacy)?;
+                let trace = Some(accepted.trace.clone());
+                Reply {
+                    accepted,
+                    pending: PendingReply::Replan(client.submit_replan_traced(req, trace)),
+                }
+            }
+            Frame::Cancel { id, request_id } => {
+                for reply in self.pending.iter().filter(|r| {
+                    id.as_deref() == Some(r.accepted.id.as_str())
+                        || request_id == Some(r.accepted.request_id)
+                }) {
+                    reply.cancel();
+                }
+                return Ok(());
+            }
+            Frame::Stats => {
+                let mut doc = tagged("stats").with("ok", true);
+                if let Some(trace_id) = &trace_id {
+                    doc.set("trace_id", trace_id.as_str());
+                }
+                doc.set("stats", self.observer.stats_json(self.cache));
+                writeln!(writer, "{}", doc.render()).map_err(io_error)?;
+                return writer.flush().map_err(io_error);
+            }
+            Frame::Ping => {
+                let mut doc = tagged("pong");
+                if let Some(trace_id) = &trace_id {
+                    doc.set("trace_id", trace_id.as_str());
+                }
+                writeln!(writer, "{}", doc.render()).map_err(io_error)?;
+                return writer.flush().map_err(io_error);
+            }
+            Frame::Shutdown => {
+                self.end.shutdown = true;
+                return Ok(());
+            }
+        };
+        self.pending.push(reply);
+        Ok(())
+    }
+
+    /// Registers an accepted plan/sim/replan frame: numbers it, opens its
+    /// trace and logs `request.received`.
+    fn accept(
+        &mut self,
+        kind: &'static str,
+        id: &str,
+        strategy: SearchStrategy,
+        trace_id: Option<String>,
+        legacy: bool,
+    ) -> Result<Accepted, Error> {
+        self.end.requests += 1;
+        let request_id = self.end.requests;
+        self.observer.note_strategy(strategy);
+        let trace_id = trace_id.unwrap_or_else(|| self.observer.gen_trace_id());
+        let trace = self.observer.begin_request(trace_id, request_id, kind);
+        self.log(
+            Event::new(EventLevel::Info, "request.received")
+                .context(trace.trace_id(), "s0")
+                .field("kind", kind)
+                .field("id", id)
+                .field("request_id", request_id)
+                .field("legacy", legacy),
+        )?;
+        Ok(Accepted {
+            request_id,
+            id: id.to_string(),
+            legacy,
+            trace,
+        })
+    }
+
+    /// Emits every finished pool reply, in completion (scan) order.
+    fn emit_finished(&mut self, writer: &mut impl Write) -> Result<(), Error> {
+        let mut emitted = false;
+        let mut i = 0;
+        while i < self.pending.len() {
+            if let Some(verdict) = self.pending[i].try_verdict() {
+                let reply = self.pending.remove(i);
+                self.emit(writer, &reply.accepted, verdict)?;
+                emitted = true;
+            } else {
+                i += 1;
+            }
+        }
+        if emitted {
+            writer.flush().map_err(io_error)?;
+        }
+        Ok(())
+    }
+
+    fn emit(
+        &mut self,
+        writer: &mut impl Write,
+        accepted: &Accepted,
+        verdict: Verdict,
+    ) -> Result<(), Error> {
+        // Summarize for the flight recorder before the verdict is consumed
+        // building the response document.
+        let (status, outcome, fingerprint) = match &verdict {
+            Verdict::Plan(result) => match result.as_ref() {
+                Ok(resp) => (
+                    "ok".to_string(),
+                    outcome_label(&resp.cache).to_string(),
+                    resp.fingerprint.clone(),
+                ),
+                Err(Error::Cancelled(_)) => ("cancelled".to_string(), "-".into(), String::new()),
+                Err(err) => (format!("error:{}", err.kind()), "-".into(), String::new()),
+            },
+            Verdict::Sim(result) => match result.as_ref() {
+                Ok(resp) => (
+                    "ok".to_string(),
+                    outcome_label(&resp.cache).to_string(),
+                    resp.fingerprint.clone(),
+                ),
+                Err(Error::Cancelled(_)) => ("cancelled".to_string(), "-".into(), String::new()),
+                Err(err) => (format!("error:{}", err.kind()), "-".into(), String::new()),
+            },
+            Verdict::Replan(result) => match result.as_ref() {
+                Ok(resp) => (
+                    "ok".to_string(),
+                    // The decision is the interesting outcome of a replan, not
+                    // the memo result the running plan came from.
+                    resp.decision.tag().to_string(),
+                    resp.fingerprint.clone(),
+                ),
+                Err(Error::Cancelled(_)) => ("cancelled".to_string(), "-".into(), String::new()),
+                Err(err) => (format!("error:{}", err.kind()), "-".into(), String::new()),
+            },
+        };
+        let mut doc = match verdict {
+            Verdict::Plan(result) => match *result {
+                Ok(resp) => {
+                    if let Some(dir) = &self.opts.plan_dir {
+                        let path =
+                            dir.join(format!("{}.plan.txt", sanitize_artifact_id(&accepted.id)));
+                        std::fs::write(&path, &resp.plan_text).map_err(|e| {
+                            Error::internal(format!("--plan-dir write failed: {e}"))
+                        })?;
+                    }
+                    plan_response_json(&resp, accepted.legacy)
+                }
+                Err(err) => {
+                    self.end.errors += 1;
+                    error_json(&accepted.id, &err)
+                }
+            },
+            Verdict::Sim(result) => match *result {
+                Ok(resp) => sim_response_json(&resp, accepted.legacy),
+                Err(err) => {
+                    self.end.errors += 1;
+                    error_json(&accepted.id, &err)
+                }
+            },
+            Verdict::Replan(result) => match *result {
+                Ok(resp) => replan_response_json(&resp, accepted.legacy),
+                Err(err) => {
+                    self.end.errors += 1;
+                    error_json(&accepted.id, &err)
+                }
+            },
+        };
+        doc.set("request_id", accepted.request_id);
+        doc.set("trace_id", accepted.trace.trace_id());
+        doc.set("peak_rss_bytes", peak_rss_bytes());
+        writeln!(writer, "{}", doc.render())
+            .map_err(|e| Error::internal(format!("write failed: {e}")))?;
+
+        let trace = &accepted.trace;
+        let elapsed_us = trace.elapsed_us();
+        let stages: Vec<(String, u64)> = trace
+            .spans()
+            .iter()
+            .skip(1) // the root `request` span is the elapsed time itself
+            .map(|span| (span.name.clone(), span.dur_us))
+            .collect();
+        let slow = self.observer.complete_request(
+            trace,
+            FlightRecord {
+                request_id: accepted.request_id,
+                id: accepted.id.clone(),
+                trace_id: trace.trace_id().to_string(),
+                kind: trace.kind().to_string(),
+                fingerprint,
+                outcome: outcome.clone(),
+                status: status.clone(),
+                elapsed_us,
+                worker: trace.worker(),
+                stages: stages.clone(),
+            },
+        );
+        let level = if status == "ok" {
+            EventLevel::Info
+        } else {
+            EventLevel::Error
+        };
+        let mut done = Event::new(level, "request.done")
             .context(trace.trace_id(), "s0")
             .field("kind", trace.kind())
-            .field("id", reply.id.as_str())
-            .field("request_id", reply.request_id)
-            .field("elapsed_us", elapsed_us)
-            .field("threshold_ms", opts.slow_ms.unwrap_or(0));
-        for (name, dur_us) in &stages {
-            warn = warn.field(format!("stage.{name}"), *dur_us);
+            .field("id", accepted.id.as_str())
+            .field("request_id", accepted.request_id)
+            .field("status", status.as_str())
+            .field("outcome", outcome.as_str());
+        // Wall-derived fields would break the logical clock's byte-identical
+        // same-input guarantee; the flight recorder still has them.
+        if !self.opts.logical_clock {
+            done = done.field("elapsed_us", elapsed_us);
+            if let Some(worker) = trace.worker() {
+                done = done.field("worker", worker as u64);
+            }
         }
-        log_event(events, warn)?;
+        self.log(done)?;
+        if slow {
+            let mut warn = Event::new(EventLevel::Warn, "request.slow")
+                .context(trace.trace_id(), "s0")
+                .field("kind", trace.kind())
+                .field("id", accepted.id.as_str())
+                .field("request_id", accepted.request_id)
+                .field("elapsed_us", elapsed_us)
+                .field("threshold_ms", self.opts.slow_ms.unwrap_or(0));
+            for (name, dur_us) in &stages {
+                warn = warn.field(format!("stage.{name}"), *dur_us);
+            }
+            self.log(warn)?;
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 /// Serves the line protocol from `reader` to `writer` over a private
@@ -755,13 +988,13 @@ pub fn serve_lines(
     Ok(end)
 }
 
-/// How often the serve loop polls in-flight replies while also watching for
-/// input (or draining after shutdown).
-const POLL: Duration = Duration::from_millis(1);
-
 /// [`serve_lines`] over a caller-owned cache — the shape multi-connection
 /// hosts use so warm state survives across sessions. The caller also owns
 /// persistence ([`ServeOptions::cache_file`] is ignored here).
+///
+/// The loop is event-driven: it blocks until an input line arrives, a pool
+/// job finishes, or input ends, and answers a `plan` frame whose plan is
+/// already resident in the memo at admission, without queueing it.
 ///
 /// The loop returns once its input stream closes: a client that sent
 /// `shutdown` gets its drained responses and the `bye` frame immediately,
@@ -796,7 +1029,7 @@ pub fn serve_lines_with_cache(
         recorder_capacity: 0,
     });
     let observer = &observer;
-    let mut events = match &opts.event_log {
+    let events = match &opts.event_log {
         Some(path) => {
             let file = std::fs::File::create(path)
                 .map_err(|e| Error::internal(format!("--event-log open failed: {e}")))?;
@@ -809,38 +1042,40 @@ pub fn serve_lines_with_cache(
     };
     PlannerService::run_observed(pool, cache, Some(observer), |client| {
         thread::scope(|scope| {
-            // A reader thread feeds lines through a channel so the main
-            // loop can emit finished responses while input is idle —
-            // without this, out-of-order completion would still be gated on
-            // the next input line arriving. Lines travel as raw bytes, so
-            // one that is not UTF-8 is answered in-band instead of ending
-            // the session.
-            let (line_tx, lines) = mpsc::channel::<std::io::Result<Vec<u8>>>();
+            // A reader thread feeds input lines into the loop's inbound
+            // channel, and every pool job signals it when done, so the loop
+            // sleeps until there is something to do: a response goes out the
+            // moment its worker finishes, never gated on the next input line
+            // or a timer. Lines travel as raw bytes, so one that is not UTF-8
+            // or is over `MAX_FRAME_BYTES` is answered in-band instead of
+            // ending the session.
+            let (inbound_tx, inbound) = mpsc::channel::<Inbound>();
+            let done_tx = inbound_tx.clone();
+            let client = client.with_wake(move || drop(done_tx.send(Inbound::Done)));
             scope.spawn(move || {
                 let mut reader = reader;
                 loop {
-                    let mut buf = Vec::new();
-                    // The line keeps its terminator: frame parsing skips
-                    // trailing whitespace.
-                    let line = match reader.read_until(b'\n', &mut buf) {
-                        Ok(0) => return,
-                        Ok(_) => Ok(buf),
-                        Err(e) => Err(e),
+                    let (message, last) = match read_frame(&mut reader) {
+                        Ok(Some(line)) => (Inbound::Line(line), false),
+                        Ok(None) => (Inbound::Closed(Ok(())), true),
+                        Err(e) => (Inbound::Closed(Err(e)), true),
                     };
-                    let failed = line.is_err();
-                    if line_tx.send(line).is_err() || failed {
+                    if inbound_tx.send(message).is_err() || last {
                         return;
                     }
                 }
             });
 
-            let io = |e: std::io::Error| Error::internal(format!("transport failed: {e}"));
-            let mut end = ServeEnd::default();
-            let mut pending: Vec<Reply> = Vec::new();
-            let mut next_request_id: u64 = 0;
+            let mut session = Session {
+                opts,
+                observer,
+                cache,
+                events,
+                end: ServeEnd::default(),
+                pending: Vec::new(),
+            };
             let mut input_open = true;
-            log_event(
-                &mut events,
+            session.log(
                 Event::new(EventLevel::Info, "serve.start")
                     .field("workers", pool.workers as u64)
                     .field(
@@ -852,219 +1087,28 @@ pub fn serve_lines_with_cache(
                         },
                     ),
             )?;
-            loop {
-                let message = if !input_open || end.shutdown {
-                    None
-                } else if pending.is_empty() {
-                    // Nothing in flight: block until the next line.
-                    match lines.recv() {
-                        Ok(message) => Some(message),
-                        Err(_) => {
-                            input_open = false;
-                            None
-                        }
+            while !session.finished(input_open) {
+                // `client` holds an inbound sender, so this cannot disconnect.
+                match inbound.recv().expect("the serve loop holds a sender") {
+                    Inbound::Done => {}
+                    // Input after `shutdown` is ignored.
+                    _ if session.end.shutdown => {}
+                    Inbound::Closed(result) => {
+                        result.map_err(io_error)?;
+                        input_open = false;
                     }
-                } else {
-                    // Work in flight: poll for input, then for completions.
-                    match lines.recv_timeout(POLL) {
-                        Ok(message) => Some(message),
-                        Err(RecvTimeoutError::Timeout) => None,
-                        Err(RecvTimeoutError::Disconnected) => {
-                            input_open = false;
-                            None
-                        }
-                    }
-                };
-                if let Some(line) = message {
-                    let line = line.map_err(io)?;
-                    let parsed = match std::str::from_utf8(&line) {
-                        Ok(text) if text.trim().is_empty() => None,
-                        Ok(text) => Some(parse_frame(text)),
-                        Err(e) => Some(Err(Error::protocol(format!("bad frame: {e}")))),
-                    };
-                    if let Some(parsed) = parsed {
-                        match parsed {
-                            Err(err) => {
-                                end.errors += 1;
-                                log_event(
-                                    &mut events,
-                                    Event::new(EventLevel::Error, "request.rejected")
-                                        .field("message", err.message()),
-                                )?;
-                                writeln!(writer, "{}", error_json("", &err).render())
-                                    .map_err(io)?;
-                            }
-                            Ok(ParsedFrame {
-                                frame,
-                                legacy,
-                                trace_id,
-                            }) => {
-                                if legacy {
-                                    observer.note_legacy();
-                                }
-                                match frame {
-                                    Frame::Plan(req) => {
-                                        end.requests += 1;
-                                        next_request_id += 1;
-                                        observer.note_strategy(req.strategy);
-                                        let trace_id =
-                                            trace_id.unwrap_or_else(|| observer.gen_trace_id());
-                                        let trace = observer.begin_request(
-                                            trace_id,
-                                            next_request_id,
-                                            "plan",
-                                        );
-                                        log_event(
-                                            &mut events,
-                                            Event::new(EventLevel::Info, "request.received")
-                                                .context(trace.trace_id(), "s0")
-                                                .field("kind", "plan")
-                                                .field("id", req.id.as_str())
-                                                .field("request_id", next_request_id)
-                                                .field("legacy", legacy),
-                                        )?;
-                                        pending.push(Reply {
-                                            request_id: next_request_id,
-                                            id: req.id.clone(),
-                                            legacy,
-                                            trace: trace.clone(),
-                                            pending: PendingReply::Plan(
-                                                client.submit_plan_traced(req, Some(trace)),
-                                            ),
-                                        });
-                                    }
-                                    Frame::Sim(req) => {
-                                        end.requests += 1;
-                                        next_request_id += 1;
-                                        observer.note_strategy(req.plan.strategy);
-                                        let trace_id =
-                                            trace_id.unwrap_or_else(|| observer.gen_trace_id());
-                                        let trace = observer.begin_request(
-                                            trace_id,
-                                            next_request_id,
-                                            "sim",
-                                        );
-                                        log_event(
-                                            &mut events,
-                                            Event::new(EventLevel::Info, "request.received")
-                                                .context(trace.trace_id(), "s0")
-                                                .field("kind", "sim")
-                                                .field("id", req.id.as_str())
-                                                .field("request_id", next_request_id)
-                                                .field("legacy", legacy),
-                                        )?;
-                                        pending.push(Reply {
-                                            request_id: next_request_id,
-                                            id: req.id.clone(),
-                                            legacy,
-                                            trace: trace.clone(),
-                                            pending: PendingReply::Sim(
-                                                client.submit_sim_traced(req, Some(trace)),
-                                            ),
-                                        });
-                                    }
-                                    Frame::Replan(req) => {
-                                        end.requests += 1;
-                                        next_request_id += 1;
-                                        observer.note_strategy(req.plan.strategy);
-                                        let trace_id =
-                                            trace_id.unwrap_or_else(|| observer.gen_trace_id());
-                                        let trace = observer.begin_request(
-                                            trace_id,
-                                            next_request_id,
-                                            "replan",
-                                        );
-                                        log_event(
-                                            &mut events,
-                                            Event::new(EventLevel::Info, "request.received")
-                                                .context(trace.trace_id(), "s0")
-                                                .field("kind", "replan")
-                                                .field("id", req.id.as_str())
-                                                .field("request_id", next_request_id)
-                                                .field("legacy", legacy),
-                                        )?;
-                                        pending.push(Reply {
-                                            request_id: next_request_id,
-                                            id: req.id.clone(),
-                                            legacy,
-                                            trace: trace.clone(),
-                                            pending: PendingReply::Replan(
-                                                client.submit_replan_traced(req, Some(trace)),
-                                            ),
-                                        });
-                                    }
-                                    Frame::Cancel { id, request_id } => {
-                                        for reply in pending.iter().filter(|r| {
-                                            id.as_deref() == Some(r.id.as_str())
-                                                || request_id == Some(r.request_id)
-                                        }) {
-                                            reply.cancel();
-                                        }
-                                    }
-                                    Frame::Stats => {
-                                        let mut doc = tagged("stats").with("ok", true);
-                                        if let Some(trace_id) = &trace_id {
-                                            doc.set("trace_id", trace_id.as_str());
-                                        }
-                                        doc.set("stats", observer.stats_json(cache));
-                                        writeln!(writer, "{}", doc.render()).map_err(io)?;
-                                        writer.flush().map_err(io)?;
-                                    }
-                                    Frame::Ping => {
-                                        let mut doc = tagged("pong");
-                                        if let Some(trace_id) = &trace_id {
-                                            doc.set("trace_id", trace_id.as_str());
-                                        }
-                                        writeln!(writer, "{}", doc.render()).map_err(io)?;
-                                        writer.flush().map_err(io)?;
-                                    }
-                                    Frame::Shutdown => {
-                                        end.shutdown = true;
-                                    }
-                                }
-                            }
-                        }
-                    }
+                    Inbound::Line(line) => session.on_line(writer, &client, line)?,
                 }
-                // Emit every finished reply, in completion (scan) order.
-                let mut emitted = false;
-                let mut i = 0;
-                while i < pending.len() {
-                    if let Some(verdict) = pending[i].try_verdict() {
-                        let reply = pending.remove(i);
-                        emit(
-                            writer,
-                            &mut end,
-                            opts,
-                            observer,
-                            &mut events,
-                            &reply,
-                            verdict,
-                        )?;
-                        emitted = true;
-                    } else {
-                        i += 1;
-                    }
-                }
-                if emitted {
-                    writer.flush().map_err(io)?;
-                }
-                if pending.is_empty() && (!input_open || end.shutdown) {
-                    break;
-                }
-                // Draining without input: pace the completion polling.
-                if (!input_open || end.shutdown) && !emitted {
-                    thread::sleep(POLL);
-                }
+                session.emit_finished(writer)?;
             }
-            log_event(
-                &mut events,
+            let end = session.end;
+            session.log(
                 Event::new(EventLevel::Info, "serve.shutdown")
                     .field("requests", end.requests)
                     .field("errors", end.errors)
                     .field("shutdown_frame", end.shutdown),
             )?;
-            if let Some(log) = &mut events {
+            if let Some(log) = &mut session.events {
                 log.flush()
                     .map_err(|e| Error::internal(format!("event log flush failed: {e}")))?;
             }
@@ -1073,8 +1117,8 @@ pub fn serve_lines_with_cache(
                     .map_err(|e| Error::internal(format!("--trace-out write failed: {e}")))?;
             }
             observer.dump_stats(cache, "shutdown")?;
-            writeln!(writer, "{}", tagged("bye").render()).map_err(io)?;
-            writer.flush().map_err(io)?;
+            writeln!(writer, "{}", tagged("bye").render()).map_err(io_error)?;
+            writer.flush().map_err(io_error)?;
             Ok(end)
         })
     })

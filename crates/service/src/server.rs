@@ -3,7 +3,9 @@
 //! [`PlannerService::run`] spawns `workers` scoped threads draining one
 //! job queue into a shared [`WarmCache`] and hands the closure a
 //! [`ServiceClient`]. Submissions return immediately with a [`Pending`]
-//! handle; the caller waits, polls, or cancels.
+//! handle; the caller waits, polls, or cancels. A client built with
+//! [`ServiceClient::with_wake`] is also told when each job is done, so its
+//! caller can block on one event source instead of polling.
 //!
 //! The pool is unpoisonable by construction: every job runs under
 //! [`catch_unwind`], a cancelled or deadline-expired ticket short-circuits
@@ -13,7 +15,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -90,24 +92,54 @@ impl Ticket {
     }
 }
 
+/// Called once per job after its verdict is sent; see
+/// [`ServiceClient::with_wake`].
+type Wake = Arc<dyn Fn() + Send + Sync>;
+
+/// A job's reply channel plus its client's wake hook. Dropping it — after
+/// [`ReplyTx::send`], or unsent because the job was dropped or its worker
+/// died — closes the channel first and then wakes, so a woken caller always
+/// finds the verdict or the disconnect.
+struct ReplyTx<T> {
+    tx: Option<Sender<Result<T, Error>>>,
+    wake: Option<Wake>,
+}
+
+impl<T> ReplyTx<T> {
+    fn send(mut self, verdict: Result<T, Error>) {
+        if let Some(tx) = self.tx.take() {
+            drop(tx.send(verdict));
+        }
+    }
+}
+
+impl<T> Drop for ReplyTx<T> {
+    fn drop(&mut self) {
+        drop(self.tx.take());
+        if let Some(wake) = &self.wake {
+            wake();
+        }
+    }
+}
+
 enum Job {
     Plan {
         req: PlanRequest,
         ticket: Ticket,
         trace: Option<Arc<RequestTrace>>,
-        reply: Sender<Result<PlanResponse, Error>>,
+        reply: ReplyTx<PlanResponse>,
     },
     Sim {
         req: SimRequest,
         ticket: Ticket,
         trace: Option<Arc<RequestTrace>>,
-        reply: Sender<Result<SimResponse, Error>>,
+        reply: ReplyTx<SimResponse>,
     },
     Replan {
         req: ReplanRequest,
         ticket: Ticket,
         trace: Option<Arc<RequestTrace>>,
-        reply: Sender<Result<ReplanResponse, Error>>,
+        reply: ReplyTx<ReplanResponse>,
     },
 }
 
@@ -131,9 +163,17 @@ impl<T> Pending<T> {
             .unwrap_or_else(|_| Err(Error::internal("service dropped the reply channel")))
     }
 
-    /// The response if it has already arrived, `None` otherwise.
+    /// The response if it has already arrived, `None` otherwise. A pool
+    /// that went away without answering resolves to [`Error::Internal`], as
+    /// in [`Pending::wait`].
     pub fn try_wait(&self) -> Option<Result<T, Error>> {
-        self.rx.try_recv().ok()
+        match self.rx.try_recv() {
+            Ok(verdict) => Some(verdict),
+            Err(TryRecvError::Empty) => None,
+            Err(TryRecvError::Disconnected) => {
+                Some(Err(Error::internal("service dropped the reply channel")))
+            }
+        }
     }
 
     /// Requests cancellation of this request.
@@ -152,10 +192,20 @@ impl<T> Pending<T> {
 /// Cheap to clone (it is a queue sender plus a cache reference); all clones
 /// must be dropped for the service's workers to shut down, so do not smuggle
 /// one out of the [`PlannerService::run`] closure.
-#[derive(Debug)]
 pub struct ServiceClient<'c> {
     tx: Sender<Job>,
     cache: &'c WarmCache,
+    observer: Option<&'c ServiceObserver>,
+    wake: Option<Wake>,
+}
+
+impl std::fmt::Debug for ServiceClient<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ServiceClient")
+            .field("observed", &self.observer.is_some())
+            .field("wakes", &self.wake.is_some())
+            .finish_non_exhaustive()
+    }
 }
 
 impl Clone for ServiceClient<'_> {
@@ -163,11 +213,71 @@ impl Clone for ServiceClient<'_> {
         ServiceClient {
             tx: self.tx.clone(),
             cache: self.cache,
+            observer: self.observer,
+            wake: self.wake.clone(),
         }
     }
 }
 
-impl ServiceClient<'_> {
+impl<'c> ServiceClient<'c> {
+    /// A clone of this client whose jobs call `wake` once their verdict is
+    /// sent, or once their reply is dropped unsent (the job was dropped or
+    /// its worker died). A caller holding many [`Pending`] handles can then
+    /// sleep until something changed instead of polling them on a timer.
+    pub(crate) fn with_wake(&self, wake: impl Fn() + Send + Sync + 'static) -> ServiceClient<'c> {
+        ServiceClient {
+            wake: Some(Arc::new(wake)),
+            ..self.clone()
+        }
+    }
+
+    fn reply_channel<T>(&self) -> (ReplyTx<T>, Pending<T>) {
+        let (tx, rx) = mpsc::channel();
+        let reply = ReplyTx {
+            tx: Some(tx),
+            wake: self.wake.clone(),
+        };
+        (
+            reply,
+            Pending {
+                rx,
+                cancel: CancelToken::new(),
+            },
+        )
+    }
+
+    /// Answers a plan request on the calling thread when its plan is already
+    /// resident in the memo — the serve loop's admission fast path. The
+    /// answer passes the pickup checks a worker applies (cancel, deadline),
+    /// counts as a memo hit, and is the pool's answer byte for byte apart
+    /// from `elapsed_us`. Its `exec` span has no worker, so it lands on the
+    /// serve loop's trace lane, and the observer counts it as started.
+    ///
+    /// `None` means the request needs the pool: it simulates, does not
+    /// resolve, or its plan is not resident. This never plans.
+    pub fn answer_resident(
+        &self,
+        req: &PlanRequest,
+        trace: Option<&RequestTrace>,
+    ) -> Option<Result<PlanResponse, Error>> {
+        let resident = self.cache.resident_plan(req)?;
+        let ticket = Ticket::for_deadline(CancelToken::new(), req.deadline_ms);
+        if let Some(obs) = self.observer {
+            obs.job_inline();
+        }
+        if let Some(trace) = trace {
+            trace.begin_exec(None);
+        }
+        let panic_dump = self.observer.map(|obs| (obs, self.cache));
+        let verdict = guarded_plan(req, &ticket, panic_dump, || {
+            Ok(self.cache.answer_resident(req, resident, trace))
+        });
+        if let Some(trace) = trace {
+            trace.end_exec();
+        }
+        Some(verdict)
+    }
+
     /// Enqueues a plan request; returns immediately.
     pub fn submit_plan(&self, req: PlanRequest) -> Pending<PlanResponse> {
         self.submit_plan_traced(req, None)
@@ -180,17 +290,15 @@ impl ServiceClient<'_> {
         req: PlanRequest,
         trace: Option<Arc<RequestTrace>>,
     ) -> Pending<PlanResponse> {
-        let (reply, rx) = mpsc::channel();
-        let cancel = CancelToken::new();
-        let ticket = Ticket::for_deadline(cancel.clone(), req.deadline_ms);
-        let job = Job::Plan {
+        let (reply, pending) = self.reply_channel();
+        let ticket = Ticket::for_deadline(pending.token(), req.deadline_ms);
+        self.dispatch(Job::Plan {
             req,
             ticket,
             trace,
             reply,
-        };
-        self.dispatch(job);
-        Pending { rx, cancel }
+        });
+        pending
     }
 
     /// Plans synchronously on the pool.
@@ -214,17 +322,15 @@ impl ServiceClient<'_> {
         req: SimRequest,
         trace: Option<Arc<RequestTrace>>,
     ) -> Pending<SimResponse> {
-        let (reply, rx) = mpsc::channel();
-        let cancel = CancelToken::new();
-        let ticket = Ticket::for_deadline(cancel.clone(), req.deadline_ms);
-        let job = Job::Sim {
+        let (reply, pending) = self.reply_channel();
+        let ticket = Ticket::for_deadline(pending.token(), req.deadline_ms);
+        self.dispatch(Job::Sim {
             req,
             ticket,
             trace,
             reply,
-        };
-        self.dispatch(job);
-        Pending { rx, cancel }
+        });
+        pending
     }
 
     /// Simulates synchronously on the pool.
@@ -248,17 +354,15 @@ impl ServiceClient<'_> {
         req: ReplanRequest,
         trace: Option<Arc<RequestTrace>>,
     ) -> Pending<ReplanResponse> {
-        let (reply, rx) = mpsc::channel();
-        let cancel = CancelToken::new();
-        let ticket = Ticket::for_deadline(cancel.clone(), req.deadline_ms);
-        let job = Job::Replan {
+        let (reply, pending) = self.reply_channel();
+        let ticket = Ticket::for_deadline(pending.token(), req.deadline_ms);
+        self.dispatch(Job::Replan {
             req,
             ticket,
             trace,
             reply,
-        };
-        self.dispatch(job);
-        Pending { rx, cancel }
+        });
+        pending
     }
 
     /// Decides a replan synchronously on the pool.
@@ -281,9 +385,9 @@ impl ServiceClient<'_> {
         if let Err(failed) = self.tx.send(job) {
             const GONE: &str = "service workers are gone";
             match failed.0 {
-                Job::Plan { reply, .. } => drop(reply.send(Err(Error::internal(GONE)))),
-                Job::Sim { reply, .. } => drop(reply.send(Err(Error::internal(GONE)))),
-                Job::Replan { reply, .. } => drop(reply.send(Err(Error::internal(GONE)))),
+                Job::Plan { reply, .. } => reply.send(Err(Error::internal(GONE))),
+                Job::Sim { reply, .. } => reply.send(Err(Error::internal(GONE))),
+                Job::Replan { reply, .. } => reply.send(Err(Error::internal(GONE))),
             }
         }
     }
@@ -326,7 +430,12 @@ impl PlannerService {
             for idx in 0..opts.workers.max(1) {
                 scope.spawn(move || worker_loop(idx, rx, cache, observer));
             }
-            let client = ServiceClient { tx, cache };
+            let client = ServiceClient {
+                tx,
+                cache,
+                observer,
+                wake: None,
+            };
             // `f` borrows the client; dropping it afterwards closes the
             // queue, so the workers drain what is left and join at scope
             // exit.
@@ -361,22 +470,17 @@ fn worker_loop(
                 reply,
             } => {
                 if let Some(trace) = &trace {
-                    trace.begin_exec(idx);
+                    trace.begin_exec(Some(idx));
                 }
-                let verdict = if matches!(req.strategy, SearchStrategy::Anytime { .. }) {
-                    let interrupt = ticket.cancel.search_interrupt();
-                    guarded_anytime(&ticket, panic_dump, || {
-                        cache.execute_plan_interruptible(&req, trace.as_deref(), Some(&interrupt))
-                    })
-                } else {
-                    guarded(&ticket, panic_dump, || {
-                        cache.execute_plan_traced(&req, trace.as_deref())
-                    })
-                };
+                let interrupt = matches!(req.strategy, SearchStrategy::Anytime { .. })
+                    .then(|| ticket.cancel.search_interrupt());
+                let verdict = guarded_plan(&req, &ticket, panic_dump, || {
+                    cache.execute_plan_interruptible(&req, trace.as_deref(), interrupt.as_ref())
+                });
                 if let Some(trace) = &trace {
                     trace.end_exec();
                 }
-                drop(reply.send(verdict));
+                reply.send(verdict);
             }
             Job::Sim {
                 req,
@@ -385,7 +489,7 @@ fn worker_loop(
                 reply,
             } => {
                 if let Some(trace) = &trace {
-                    trace.begin_exec(idx);
+                    trace.begin_exec(Some(idx));
                 }
                 let verdict = guarded(&ticket, panic_dump, || {
                     cache.execute_sim_traced(&req, trace.as_deref())
@@ -393,7 +497,7 @@ fn worker_loop(
                 if let Some(trace) = &trace {
                     trace.end_exec();
                 }
-                drop(reply.send(verdict));
+                reply.send(verdict);
             }
             Job::Replan {
                 req,
@@ -402,7 +506,7 @@ fn worker_loop(
                 reply,
             } => {
                 if let Some(trace) = &trace {
-                    trace.begin_exec(idx);
+                    trace.begin_exec(Some(idx));
                 }
                 let verdict = guarded(&ticket, panic_dump, || {
                     cache.execute_replan_traced(&req, trace.as_deref())
@@ -410,7 +514,7 @@ fn worker_loop(
                 if let Some(trace) = &trace {
                     trace.end_exec();
                 }
-                drop(reply.send(verdict));
+                reply.send(verdict);
             }
         }
         if let Some(obs) = observer {
@@ -441,6 +545,21 @@ fn guarded<T>(
             Err(Error::cancelled("request cancelled while in flight"))
         }
         other => other,
+    }
+}
+
+/// The pickup guard a plan job runs under: [`guarded_anytime`] for an
+/// anytime search, [`guarded`] for every other strategy.
+fn guarded_plan<T>(
+    req: &PlanRequest,
+    ticket: &Ticket,
+    panic_dump: Option<(&ServiceObserver, &WarmCache)>,
+    job: impl FnOnce() -> Result<T, Error>,
+) -> Result<T, Error> {
+    if matches!(req.strategy, SearchStrategy::Anytime { .. }) {
+        guarded_anytime(ticket, panic_dump, job)
+    } else {
+        guarded(ticket, panic_dump, job)
     }
 }
 

@@ -168,6 +168,8 @@ enum Slot<V> {
 
 struct Shard<V> {
     entries: HashMap<String, Slot<V>, FixedSeedState>,
+    /// Number of `Ready` entries in this shard (in-flight markers excluded).
+    len: usize,
     /// Total weight of the `Ready` entries in this shard.
     weight: u64,
 }
@@ -246,6 +248,7 @@ impl<V> ShardedMap<V> {
                 .map(|_| {
                     Mutex::new(Shard {
                         entries: HashMap::with_hasher(hasher),
+                        len: 0,
                         weight: 0,
                     })
                 })
@@ -284,14 +287,7 @@ impl<V> ShardedMap<V> {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| {
-                s.lock()
-                    .expect("shard lock")
-                    .entries
-                    .values()
-                    .filter(|slot| matches!(slot, Slot::Ready { .. }))
-                    .count()
-            })
+            .map(|s| s.lock().expect("shard lock").len)
             .sum()
     }
 
@@ -308,7 +304,8 @@ impl<V> ShardedMap<V> {
             .sum()
     }
 
-    /// The resident value for `key`, refreshing its LRU position.
+    /// The resident value for `key`, refreshing its LRU position. Counts
+    /// nothing and never computes.
     pub fn get(&self, key: &str) -> Option<Arc<V>> {
         let tick = self.tick();
         let mut shard = self.shard_for(key).lock().expect("shard lock");
@@ -321,13 +318,19 @@ impl<V> ShardedMap<V> {
         }
     }
 
+    /// Counts a hit answered from a value an earlier [`ShardedMap::get`]
+    /// returned — for callers that look up first and answer later.
+    pub(crate) fn count_hit(&self) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Inserts `value` (replacing any resident entry), enforcing the shard
     /// budget. Returns the entry's weight.
     pub fn insert(&self, key: &str, value: Arc<V>) -> u64 {
         let weight = (self.weigher)(&value);
         let tick = self.tick();
         let mut shard = self.shard_for(key).lock().expect("shard lock");
-        if let Some(Slot::Ready { weight: old, .. }) = shard.entries.insert(
+        match shard.entries.insert(
             key.to_string(),
             Slot::Ready {
                 value,
@@ -335,7 +338,8 @@ impl<V> ShardedMap<V> {
                 tick,
             },
         ) {
-            shard.weight -= old;
+            Some(Slot::Ready { weight: old, .. }) => shard.weight -= old,
+            _ => shard.len += 1,
         }
         shard.weight += weight;
         self.enforce_budget(&mut shard);
@@ -364,6 +368,7 @@ impl<V> ShardedMap<V> {
                 return; // nothing evictable (only in-flight markers remain)
             };
             if let Some(Slot::Ready { weight, .. }) = shard.entries.remove(&key) {
+                shard.len -= 1;
                 shard.weight -= weight;
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
@@ -436,6 +441,7 @@ impl<V> ShardedMap<V> {
                         tick,
                     },
                 );
+                shard.len += 1;
                 shard.weight += weight;
                 self.enforce_budget(&mut shard);
             }
@@ -458,15 +464,19 @@ impl<V> ShardedMap<V> {
         }
     }
 
-    /// Current counters.
+    /// Current counters: one short lock per shard, no entry walk.
     pub fn stats(&self) -> ShardStats {
+        let (len, weight) = self.shards.iter().fold((0, 0), |(len, weight), s| {
+            let shard = s.lock().expect("shard lock");
+            (len + shard.len, weight + shard.weight)
+        });
         ShardStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            len: self.len(),
-            weight: self.weight(),
+            len,
+            weight,
         }
     }
 
@@ -480,15 +490,10 @@ impl<V> ShardedMap<V> {
             .iter()
             .map(|s| {
                 let shard = s.lock().expect("shard lock");
-                let len = shard
-                    .entries
-                    .values()
-                    .filter(|slot| matches!(slot, Slot::Ready { .. }))
-                    .count();
                 ShardLoad {
-                    len,
+                    len: shard.len,
                     weight: shard.weight,
-                    in_flight: shard.entries.len() - len,
+                    in_flight: shard.entries.len() - shard.len,
                 }
             })
             .collect()
@@ -603,6 +608,67 @@ mod tests {
         // The key is computable again — no stuck in-flight marker.
         let (v, outcome) = map.get_or_compute("doomed", || 9);
         assert_eq!((*v, outcome), (9, Outcome::Miss));
+    }
+
+    /// Resident entries counted by walking every shard's slots — the
+    /// reference the maintained per-shard counters must agree with.
+    fn walked_len<V>(map: &ShardedMap<V>) -> usize {
+        map.shards
+            .iter()
+            .map(|s| {
+                s.lock()
+                    .unwrap()
+                    .entries
+                    .values()
+                    .filter(|slot| matches!(slot, Slot::Ready { .. }))
+                    .count()
+            })
+            .sum()
+    }
+
+    #[test]
+    fn resident_counter_matches_a_walk() {
+        // Budget of three unit-weight entries on one shard.
+        let map = Arc::new(ShardedMap::<u64>::with_budget(1, 3, |_| 1));
+        let agree = |map: &ShardedMap<u64>| {
+            assert_eq!(map.len(), walked_len(map));
+            assert_eq!(map.stats().len, walked_len(map));
+        };
+        for key in ["a", "b", "c"] {
+            map.insert(key, Arc::new(1));
+        }
+        map.insert("a", Arc::new(2)); // replacing keeps the count
+        agree(&map);
+        assert_eq!(map.len(), 3);
+        map.insert("d", Arc::new(1)); // evicts the LRU entry
+        agree(&map);
+        assert_eq!((map.len(), map.stats().evictions), (3, 1));
+
+        // Coalesced landing: followers share one leader's insert.
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    map.get_or_compute("hot", || {
+                        std::thread::sleep(std::time::Duration::from_millis(10));
+                        5
+                    })
+                });
+            }
+        });
+        agree(&map);
+        assert!(map.get("hot").is_some());
+
+        // A failed leader leaves no entry behind.
+        let leader = {
+            let map = map.clone();
+            std::thread::spawn(move || {
+                map.get_or_compute("doomed", || panic!("leader dies"));
+            })
+        };
+        assert!(leader.join().is_err());
+        agree(&map);
+        assert!(map.get("doomed").is_none());
+        assert_eq!(map.shard_loads()[0].len, map.len());
     }
 
     #[test]

@@ -143,6 +143,19 @@ grep -q '"plan_cache_hit":true' "$artifacts/persist2.out" \
     || { echo "restored cache did not serve a memo hit" >&2; exit 1; }
 cmp "$artifacts/persist1/c1.plan.txt" "$artifacts/persist2/c2.plan.txt" \
     || { echo "restored plan differs from the original" >&2; exit 1; }
+# Head-of-line: on one worker, a restored (resident) plan sent behind a cold
+# Table-2 plan is answered at admission, so its reply comes first.
+cp "$artifacts/warm.cache.json" "$artifacts/hol.cache.json"
+cold_frame='{"schema_version":"primepar.service.v1","type":"plan","id":"cold","model":"opt-6.7b","devices":16,"batch":8,"seq":2048}'
+{
+    printf '%s\n' "$cold_frame"
+    printf '%s\n' "${frame/ID/c3}"
+} | ./target/release/primepar serve --workers 1 \
+        --cache-file "$artifacts/hol.cache.json" >"$artifacts/hol.out"
+sed -n 1p "$artifacts/hol.out" | grep -q '"id":"c3","ok":true' \
+    || { echo "resident plan waited behind a cold plan" >&2; exit 1; }
+sed -n 2p "$artifacts/hol.out" | grep -q '"id":"cold","ok":true' \
+    || { echo "cold plan was not answered after the resident one" >&2; exit 1; }
 ./target/release/primepar validate --dir "$artifacts"
 
 echo "== observability smoke (events, stats frame, Chrome trace, determinism) =="
