@@ -3,10 +3,10 @@
 //! The planner optimizes the paper's analytic cost model — Eq. 7 per-operator
 //! intra costs and Eqs. 8–9 redistribution costs — while the simulator in
 //! `primepar-sim` executes the plan as an explicit event timeline. The two
-//! agree *by construction* on most components, but not all of them (the
-//! simulator charges each redistribution direction its own latency term, the
-//! analytic model charges one), and any future divergence between them is a
-//! silent correctness hazard for every figure in the reproduction.
+//! share one charging model (the simulator executes [`phase_events`] and
+//! [`edge_charge`]), so every time component agrees to float tolerance; any
+//! future divergence between them is a silent correctness hazard for every
+//! figure in the reproduction.
 //!
 //! [`audit_layer`] makes the comparison explicit: it prices a plan with the
 //! cost model, simulates it, attributes the simulated timeline back to the
@@ -37,7 +37,7 @@
 
 use std::collections::BTreeMap;
 
-use primepar_cost::{inter_traffic_bytes, intra_cost, memory_bytes, phase_events, CostCtx};
+use primepar_cost::{edge_charge, intra_cost, memory_bytes, phase_events, CostCtx};
 use primepar_graph::Graph;
 use primepar_obs::Metrics;
 use primepar_partition::{PartitionSeq, Phase};
@@ -88,20 +88,12 @@ pub fn plan_comm_volume(cluster: &Cluster, graph: &Graph, seqs: &[PartitionSeq])
             v.collective_bytes += ev.collective_wire_bytes(n);
         }
     }
-    for edge in &graph.edges {
-        // The simulator charges each direction half the edge's traffic and
-        // skips free (zero-latency) transfers; mirror both.
-        let per_direction = inter_traffic_bytes(
-            edge,
-            &graph.ops[edge.src],
-            &graph.ops[edge.dst],
-            &seqs[edge.src],
-            &seqs[edge.dst],
-        ) / 2.0;
-        if ctx.redistribution_time(per_direction) > 0.0 {
-            v.redistribution_bytes += 2.0 * per_direction;
-        }
-    }
+    v.redistribution_bytes = graph
+        .edges
+        .iter()
+        .filter_map(|edge| edge_charge(&ctx, graph, seqs, edge))
+        .map(|c| c.bytes)
+        .sum();
     v
 }
 
@@ -117,17 +109,13 @@ pub struct AuditRow {
     /// Cost-model component: `compute`, `ring_exposed`, `allreduce`,
     /// `redistribution` (seconds) or `peak_memory` (bytes).
     pub component: String,
-    /// The analytic cost model's value.
+    /// The analytic cost model's value. For `peak_memory` this is a bound,
+    /// not a prediction: every operator's parameters, gradients and stash
+    /// plus the widest double buffer. The simulator's high-water mark is
+    /// persistent state plus `maxᵢ(Σ_{j≤i} stash_j + double_buffer_i)`,
+    /// which is at most the bound by construction, so that row's drift is
+    /// never positive.
     pub predicted: f64,
-    /// The analytic prediction under the simulator-consistent charging
-    /// model. Equal to `predicted` for every component except
-    /// `redistribution`, where the planner's model charges one combined
-    /// exchange (one latency term) while the simulator pays each direction
-    /// its own — the known latency double-charge. This field re-prices the
-    /// edge with [`CostCtx::redistribution_time_split`], so
-    /// `simulated − corrected` is genuine drift, not the known charging gap;
-    /// migration costing keys off this corrected view.
-    pub corrected: f64,
     /// The simulated timeline's value.
     pub simulated: f64,
 }
@@ -146,18 +134,6 @@ impl AuditRow {
             0.0
         } else {
             self.abs_drift() / scale
-        }
-    }
-
-    /// Signed relative drift against the charge-corrected prediction — the
-    /// residual that is *not* explained by the known redistribution
-    /// latency-term gap.
-    pub fn corrected_drift(&self) -> f64 {
-        let scale = self.corrected.abs().max(self.simulated.abs());
-        if scale <= DRIFT_EPS {
-            0.0
-        } else {
-            (self.simulated - self.corrected) / scale
         }
     }
 }
@@ -210,15 +186,6 @@ impl AuditReport {
         self.rows
             .iter()
             .map(|r| r.rel_drift().abs())
-            .fold(0.0, f64::max)
-    }
-
-    /// Largest absolute *corrected* relative drift across all rows — what
-    /// remains once the known redistribution charging gap is priced out.
-    pub fn max_corrected_drift(&self) -> f64 {
-        self.rows
-            .iter()
-            .map(|r| r.corrected_drift().abs())
             .fold(0.0, f64::max)
     }
 }
@@ -294,7 +261,27 @@ pub fn audit_layer(
         }
     }
 
-    let mut rows = Vec::new();
+    // Same-named nodes fold into one row per component: parallel edges
+    // sharing a (src, dst) pair (qkv feeds qk as Q and as K) and the
+    // repeated operators of a stacked graph. The timeline names spans by
+    // label only, so the simulated side cannot be split per node — compare
+    // it against the summed predicted cost instead.
+    let mut rows: Vec<AuditRow> = Vec::new();
+    let mut fold = |label: String, segment: usize, component: &str, predicted: f64, simulated| {
+        let existing = rows
+            .iter_mut()
+            .find(|r| r.label == label && r.component == component);
+        match existing {
+            Some(row) => row.predicted += predicted,
+            None => rows.push(AuditRow {
+                label,
+                segment,
+                component: component.to_string(),
+                predicted,
+                simulated,
+            }),
+        }
+    };
     let mut predicted_layer_time = 0.0;
     for (i, (op, seq)) in graph.ops.iter().zip(seqs).enumerate() {
         let ic = intra_cost(&ctx, op, seq);
@@ -306,57 +293,21 @@ pub fn audit_layer(
             ("ring_exposed", ic.ring_exposed, sums.ring_exposed),
             ("allreduce", ic.allreduce, sums.allreduce),
         ] {
-            rows.push(AuditRow {
-                label: op.name.clone(),
-                segment: seg,
-                component: component.to_string(),
-                predicted,
-                corrected: predicted,
-                simulated,
-            });
+            fold(op.name.clone(), seg, component, predicted, simulated);
         }
     }
-    // Parallel edges sharing a (src, dst) pair (e.g. qkv feeding qk twice,
-    // as Q and as K) fold into one row: the simulator names redistribution
-    // spans `"src->dst"` only, so the simulated side cannot be split per
-    // edge — compare it against the summed predicted cost instead.
-    let mut edge_rows: Vec<AuditRow> = Vec::new();
-    let mut edge_index: BTreeMap<String, usize> = BTreeMap::new();
     for edge in &graph.edges {
-        let bytes = inter_traffic_bytes(
-            edge,
-            &graph.ops[edge.src],
-            &graph.ops[edge.dst],
-            &seqs[edge.src],
-            &seqs[edge.dst],
-        );
-        let predicted = ctx.redistribution_time(bytes);
-        // The simulator-consistent charge: each direction pays its own
-        // latency term (the PR-3 double-charge, priced explicitly).
-        let corrected = ctx.redistribution_time_split(bytes);
+        let predicted = edge_charge(&ctx, graph, seqs, edge).map_or(0.0, |c| c.seconds);
         predicted_layer_time += predicted;
         let label = format!("{}->{}", graph.ops[edge.src].name, graph.ops[edge.dst].name);
-        if let Some(&i) = edge_index.get(&label) {
-            edge_rows[i].predicted += predicted;
-            edge_rows[i].corrected += corrected;
-        } else {
-            edge_index.insert(label.clone(), edge_rows.len());
-            let simulated = edge_sums.get(&label).copied().unwrap_or(0.0);
-            edge_rows.push(AuditRow {
-                label,
-                segment: segment_of(&segments, edge.src),
-                component: "redistribution".to_string(),
-                predicted,
-                corrected,
-                simulated,
-            });
-        }
+        let simulated = edge_sums.get(&label).copied().unwrap_or(0.0);
+        let seg = segment_of(&segments, edge.src);
+        fold(label, seg, "redistribution", predicted, simulated);
     }
-    rows.extend(edge_rows);
 
-    // Layer-level peak memory: the analytic bound every operator's
-    // persistent state plus all stashes plus the widest double buffer —
-    // against the simulator's traced high-water mark.
+    // Layer-level peak memory: the analytic bound (every operator's
+    // persistent state plus all stashes plus the widest double buffer)
+    // against the simulator's traced high-water mark, which cannot exceed it.
     let mems: Vec<_> = graph
         .ops
         .iter()
@@ -373,7 +324,6 @@ pub fn audit_layer(
         segment: 0,
         component: "peak_memory".to_string(),
         predicted: predicted_peak,
-        corrected: predicted_peak,
         simulated: sim.peak_memory_bytes,
     });
 
@@ -475,7 +425,6 @@ pub fn audit_metrics(audit: &AuditReport) -> Metrics {
     m.gauge("audit.layer.simulated_seconds", audit.simulated_layer_time);
     m.gauge("audit.layer.rel_drift", audit.layer_rel_drift());
     m.gauge("audit.max_rel_drift", audit.max_rel_drift());
-    m.gauge("audit.max_corrected_drift", audit.max_corrected_drift());
     m.incr("audit.rows", audit.rows.len() as u64);
     m.gauge("audit.plan.ring_wire_bytes", audit.plan_comm.ring_bytes);
     m.gauge(
@@ -493,7 +442,6 @@ pub fn audit_metrics(audit: &AuditReport) -> Metrics {
     for r in &audit.rows {
         let p = format!("audit.row.{}.{}", r.label, r.component);
         m.gauge(&format!("{p}.predicted"), r.predicted);
-        m.gauge(&format!("{p}.corrected"), r.corrected);
         m.gauge(&format!("{p}.simulated"), r.simulated);
         m.gauge(&format!("{p}.rel_drift"), r.rel_drift());
         m.observe("audit.rel_drift", r.rel_drift());
@@ -570,14 +518,8 @@ mod tests {
         let audit = audit_layer(&cluster, &graph, &plan, 0.0);
         let rows: Vec<_> = audit.rows.iter().filter(|r| r.label == "qkv->qk").collect();
         assert_eq!(rows.len(), 1, "duplicate-label edges must merge");
-        // With the predicted side aggregated, the only remaining gap is the
-        // per-direction latency term: simulated >= predicted, never a
-        // many-fold mismatch.
-        let r = rows[0];
-        if r.simulated > 0.0 {
-            assert!(r.simulated >= r.predicted - 1e-12);
-            assert!(r.rel_drift() < 0.5, "drift {} too large", r.rel_drift());
-        }
+        // With the predicted side aggregated, both sides agree.
+        assert!(rows[0].rel_drift().abs() < 1e-9, "{:?}", rows[0]);
     }
 
     #[test]
@@ -602,10 +544,15 @@ mod tests {
 
     #[test]
     fn redistribution_drift_is_the_known_latency_term() {
-        // The simulator pays redistribution_time(bytes/2) per direction; the
-        // model pays redistribution_time(bytes) once — one extra latency
-        // term per travelled edge, so simulated >= predicted.
+        // Each travelled edge pays the link latency once: the model's
+        // one-exchange charge, which the simulator executes. Rebuild that
+        // charge from the link model and hold both sides to it; a
+        // per-direction split would show up as one extra latency term.
         let (cluster, graph, plan) = fixture();
+        let ctx = CostCtx::new(&cluster, 0.0);
+        let link = cluster.link(ctx.redistribution_link_class());
+        let factor = cluster.worst_link_factor();
+        let n = cluster.num_devices() as f64;
         let audit = audit_layer(&cluster, &graph, &plan, 0.0);
         let mut travelled = 0;
         for r in audit
@@ -613,28 +560,32 @@ mod tests {
             .iter()
             .filter(|r| r.component == "redistribution")
         {
+            let one_latency_each: f64 = graph
+                .edges
+                .iter()
+                .filter(|e| {
+                    format!("{}->{}", graph.ops[e.src].name, graph.ops[e.dst].name) == r.label
+                })
+                .filter_map(|e| edge_charge(&ctx, &graph, &plan, e))
+                .map(|c| (link.latency_s + c.bytes / n / link.bandwidth) * factor)
+                .sum();
+            let tol = 1e-9 * one_latency_each.max(r.simulated);
+            assert!(
+                (r.predicted - one_latency_each).abs() <= tol,
+                "{}: predicted {} vs one latency term per edge {}",
+                r.label,
+                r.predicted,
+                one_latency_each
+            );
+            assert!(
+                (r.simulated - one_latency_each).abs() <= tol,
+                "{}: simulated {} vs one latency term per edge {}",
+                r.label,
+                r.simulated,
+                one_latency_each
+            );
             if r.simulated > 0.0 {
                 travelled += 1;
-                assert!(
-                    r.simulated >= r.predicted - 1e-12,
-                    "{}: {} < {}",
-                    r.label,
-                    r.simulated,
-                    r.predicted
-                );
-                // The corrected column re-prices the gap exactly: against it
-                // the drift vanishes.
-                assert!(
-                    r.corrected >= r.predicted,
-                    "{}: corrected below predicted",
-                    r.label
-                );
-                assert!(
-                    r.corrected_drift().abs() < 1e-9,
-                    "{}: corrected drift {} should be ~0",
-                    r.label,
-                    r.corrected_drift()
-                );
             }
         }
         // Megatron's row/column splits on the MLP block do redistribute.

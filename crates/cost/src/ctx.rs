@@ -2,7 +2,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
-use primepar_topology::{Cluster, CommProfile, ComputeProfile, GroupIndicator};
+use primepar_topology::{Cluster, CommProfile, ComputeProfile, GroupIndicator, LinkClass};
 
 /// Shared state for cost evaluation: the cluster model, the latency/memory
 /// trade-off coefficient `α` of Eq. 7, and a cache of fitted communication
@@ -95,42 +95,30 @@ impl<'a> CostCtx<'a> {
 
     /// Latency of redistributing `total_bytes` of inter-operator traffic
     /// spread across all devices (paper §4.2's linear model of the summed
-    /// forward + backward redistribution traffic).
+    /// forward + backward redistribution traffic, charged as one exchange).
     pub fn redistribution_time(&self, total_bytes: f64) -> f64 {
         if total_bytes <= 0.0 {
             return 0.0;
         }
         let n = self.cluster.num_devices() as f64;
         let per_device = total_bytes / n;
-        // Redistribution is all-to-all-ish: charge the slowest link class
-        // present in the cluster, with per-device traffic in flight.
-        let class = if self.cluster.num_devices() > self.cluster.devices_per_node() {
-            primepar_topology::LinkClass::InterNode
-        } else {
-            primepar_topology::LinkClass::IntraNode
-        };
         // All-to-all finishes with its slowest participant: under a fault /
         // variance scenario the worst per-device link factor gates the
         // exchange (the class-wide factor is already in `link`).
-        self.cluster.link(class).transfer_time(per_device) * self.cluster.worst_link_factor()
+        self.cluster
+            .link(self.redistribution_link_class())
+            .transfer_time(per_device)
+            * self.cluster.worst_link_factor()
     }
 
-    /// Latency of the same traffic charged the way the simulator executes it:
-    /// the forward and backward redistribution halves are two separate
-    /// exchanges of `total_bytes / 2` each, so the fixed per-exchange latency
-    /// (the alpha term) is paid twice. [`CostCtx::redistribution_time`] — the
-    /// model plan search optimizes — charges one combined exchange and thus
-    /// one latency term; the gap between the two is exactly the audit's
-    /// known redistribution-latency drift (one extra alpha per edge). The
-    /// drift auditor's corrected column and any consumer that must agree
-    /// with simulated reality (e.g. replan migration accounting) use this
-    /// variant; the search keeps the single-charge model so every pinned
-    /// plan stays bitwise stable.
-    pub fn redistribution_time_split(&self, total_bytes: f64) -> f64 {
-        if total_bytes <= 0.0 {
-            return 0.0;
+    /// The link class redistribution runs on. It is all-to-all-ish, so it is
+    /// charged on the slowest link class present in the cluster.
+    pub fn redistribution_link_class(&self) -> LinkClass {
+        if self.cluster.num_devices() > self.cluster.devices_per_node() {
+            LinkClass::InterNode
+        } else {
+            LinkClass::IntraNode
         }
-        2.0 * self.redistribution_time(total_bytes / 2.0)
     }
 
     fn with_profile<R>(&self, indicator: &GroupIndicator, f: impl FnOnce(&CommProfile) -> R) -> R {
@@ -206,24 +194,8 @@ mod tests {
         let small = Cluster::v100_like(4);
         let ctx_small = CostCtx::new(&small, 0.0);
         assert!(ctx_small.redistribution_time(1e6) < ctx.redistribution_time(1e6));
-    }
-
-    #[test]
-    fn split_charge_adds_exactly_one_latency_term() {
-        let cluster = Cluster::v100_like(8);
-        let ctx = CostCtx::new(&cluster, 0.0);
-        let bytes = 1e7;
-        let single = ctx.redistribution_time(bytes);
-        let split = ctx.redistribution_time_split(bytes);
-        // Same volume term, one extra fixed latency charge.
-        let alpha = cluster
-            .link(primepar_topology::LinkClass::InterNode)
-            .latency_s;
-        assert!(
-            (split - single - alpha).abs() < 1e-15,
-            "split={split}, single={single}"
-        );
-        assert_eq!(ctx.redistribution_time_split(0.0), 0.0);
+        assert_eq!(ctx.redistribution_link_class(), LinkClass::InterNode);
+        assert_eq!(ctx_small.redistribution_link_class(), LinkClass::IntraNode);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! per-device overlap is the product of interval intersections (Eq. 9's
 //! `∏_X |S¹_X ∩ S²_X|`).
 
-use primepar_graph::{Edge, Operator};
+use primepar_graph::{Edge, Graph, Operator};
 use primepar_partition::{Dim, PartitionSeq, Phase, TensorKind};
-use primepar_topology::DeviceSpace;
+use primepar_topology::{DeviceSpace, LinkClass};
 
 use crate::{AxisIntervals, CostCtx};
 
@@ -334,6 +334,56 @@ pub fn inter_cost(
     ctx.redistribution_time(inter_traffic_bytes(edge, src_op, dst_op, src_seq, dst_seq))
 }
 
+/// One edge's redistribution under a plan, priced the way the planner prices
+/// it: the summed forward + backward traffic is one exchange (Eq. 9, one
+/// latency term).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EdgeCharge {
+    /// Wire bytes moved across all devices.
+    pub bytes: f64,
+    /// [`CostCtx::redistribution_time`] of `bytes`.
+    pub seconds: f64,
+    /// The link class the exchange runs on.
+    pub link: LinkClass,
+}
+
+impl EdgeCharge {
+    /// The share of one direction (forward activation or backward
+    /// gradient): half the bytes and half the time, so the two directions
+    /// sum back to the edge's charge exactly.
+    pub fn per_direction(&self) -> EdgeCharge {
+        EdgeCharge {
+            bytes: self.bytes / 2.0,
+            seconds: self.seconds / 2.0,
+            link: self.link,
+        }
+    }
+}
+
+/// Prices `edge` of `graph` under the per-operator plan `seqs` — the one
+/// redistribution charge the simulator executes and the drift auditor
+/// predicts. `None` when nothing moves.
+pub fn edge_charge(
+    ctx: &CostCtx<'_>,
+    graph: &Graph,
+    seqs: &[PartitionSeq],
+    edge: &Edge,
+) -> Option<EdgeCharge> {
+    let bytes = inter_traffic_bytes(
+        edge,
+        &graph.ops[edge.src],
+        &graph.ops[edge.dst],
+        &seqs[edge.src],
+        &seqs[edge.dst],
+    );
+    let seconds = ctx.redistribution_time(bytes);
+    (seconds > 0.0).then(|| EdgeCharge {
+        bytes,
+        seconds,
+        link: ctx.redistribution_link_class(),
+    })
+}
+
 /// Dense `|src_seqs| × |dst_seqs|` edge-cost matrix (row-major) for the
 /// optimizer. Endpoint profiles are precomputed once per sequence, so each
 /// pair costs only the per-device interval products.
@@ -611,5 +661,31 @@ mod tests {
         // A device holding only the V portion of a finely-cut source would
         // contribute zero overlap to the Q edge — the interval-level
         // behaviour is covered by `intervals::tests::select_misses_disjoint_range`.
+    }
+
+    #[test]
+    fn edge_charge_is_one_exchange_split_evenly_by_direction() {
+        let cluster = Cluster::v100_like(8);
+        let ctx = CostCtx::new(&cluster, 0.0);
+        let g = graph();
+        let edge = g.edges.iter().find(|e| e.src == 9 && e.dst == 10).unwrap();
+        let k = seq(vec![Primitive::Split(Dim::K); 3]);
+        let m = seq(vec![Primitive::Split(Dim::M); 3]);
+        let mut plan = vec![k.clone(); g.ops.len()];
+        // Aligned layouts move nothing, so there is nothing to charge.
+        assert_eq!(edge_charge(&ctx, &g, &plan, edge), None);
+        plan[10] = m.clone();
+        let c = edge_charge(&ctx, &g, &plan, edge).expect("misaligned edge moves bytes");
+        let bytes = inter_traffic_bytes(edge, &g.ops[9], &g.ops[10], &k, &m);
+        assert_eq!(c.bytes, bytes);
+        assert_eq!(c.seconds, ctx.redistribution_time(bytes));
+        assert_eq!(
+            c.seconds,
+            inter_cost(&ctx, edge, &g.ops[9], &g.ops[10], &k, &m)
+        );
+        assert_eq!(c.link, LinkClass::InterNode);
+        let half = c.per_direction();
+        assert_eq!(half.seconds + half.seconds, c.seconds);
+        assert_eq!(half.bytes + half.bytes, c.bytes);
     }
 }

@@ -43,7 +43,9 @@ pub mod migration;
 
 pub use cache::{matrix_job_ids, CacheStats, EdgeCostCache, MatrixKey, PreparedEdge, SideProfiles};
 pub use ctx::CostCtx;
-pub use inter::{edge_cost_matrix, inter_cost, inter_traffic_bytes, BoundaryProfile};
+pub use inter::{
+    edge_charge, edge_cost_matrix, inter_cost, inter_traffic_bytes, BoundaryProfile, EdgeCharge,
+};
 pub use intervals::{AxisIntervals, DenseIntervals};
 pub use intra::{
     intra_cost, memory_bytes, phase_events, tensor_block_elems, CollectiveEvent, IntraCost,

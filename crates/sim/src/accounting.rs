@@ -190,16 +190,6 @@ pub fn indicator_link_class(cluster: &Cluster, indicator: &GroupIndicator) -> Op
     })
 }
 
-/// The link class redistribution traffic is charged on — mirrors
-/// `CostCtx::redistribution_time`: the slowest class present in the cluster.
-pub fn redistribution_link_class(cluster: &Cluster) -> LinkClass {
-    if cluster.num_devices() > cluster.devices_per_node() {
-        LinkClass::InterNode
-    } else {
-        LinkClass::IntraNode
-    }
-}
-
 /// Incrementally builds a [`ClusterAccounting`] while the SPMD walk runs.
 /// All devices are symmetric, so one prototype account is accumulated and
 /// replicated per device at [`finish`](AccountingBuilder::finish).
@@ -418,11 +408,6 @@ mod tests {
         assert_eq!(
             indicator_link_class(&cluster, &GroupIndicator::empty()),
             None
-        );
-        assert_eq!(redistribution_link_class(&cluster), LinkClass::InterNode);
-        assert_eq!(
-            redistribution_link_class(&Cluster::v100_like(4)),
-            LinkClass::IntraNode
         );
     }
 

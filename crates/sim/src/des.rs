@@ -12,7 +12,7 @@
 //! couples devices — the temporal primitive's per-step ring handoffs versus
 //! the conventional strategies' per-phase collectives.
 
-use primepar_cost::{inter_traffic_bytes, phase_events, CostCtx};
+use primepar_cost::{edge_charge, phase_events, CostCtx};
 use primepar_graph::Graph;
 use primepar_partition::{ring_transfers, PartitionSeq, Phase};
 use primepar_topology::{Cluster, DeviceId, DeviceSpace};
@@ -150,16 +150,10 @@ pub fn simulate_layer_des(
             }
         };
 
+    // The same per-direction half of the edge's charge as the SPMD walk.
     let redistribute = |clocks: &mut Vec<f64>, busy: &mut Vec<f64>, edge: &primepar_graph::Edge| {
-        let bytes = inter_traffic_bytes(
-            edge,
-            &graph.ops[edge.src],
-            &graph.ops[edge.dst],
-            &seqs[edge.src],
-            &seqs[edge.dst],
-        ) / 2.0;
-        let t = ctx.redistribution_time(bytes);
-        if t > 0.0 {
+        if let Some(charge) = edge_charge(&ctx, graph, seqs, edge) {
+            let t = charge.per_direction().seconds;
             // All-to-all-ish: a global synchronization point.
             let latest = clocks.iter().cloned().fold(0.0, f64::max);
             for c in clocks.iter_mut() {

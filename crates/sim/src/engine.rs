@@ -1,11 +1,11 @@
 //! The event-walking core: executes one training iteration of a layer plan.
 
-use primepar_cost::{inter_traffic_bytes, memory_bytes, phase_events, CostCtx};
+use primepar_cost::{edge_charge, memory_bytes, phase_events, CostCtx};
 use primepar_graph::Graph;
 use primepar_partition::{PartitionSeq, Phase};
 use primepar_topology::{Cluster, Perturbation};
 
-use crate::accounting::{indicator_link_class, redistribution_link_class, AccountingBuilder};
+use crate::accounting::{indicator_link_class, AccountingBuilder};
 use crate::{Breakdown, EventKind, LayerReport, Timeline, TimelineEvent};
 
 /// Simulation knobs.
@@ -138,39 +138,35 @@ pub fn simulate_layer_with(
         }
     };
 
+    // Each edge pays the planner's one-exchange charge, half before its
+    // consumer's forward and half before its producer's backward.
     let redistribute = |now: &mut f64,
                         breakdown: &mut Breakdown,
                         timeline: &mut Timeline,
                         acct: &mut AccountingBuilder,
                         edge: &primepar_graph::Edge,
-                        direction: &str| {
-        let bytes = inter_traffic_bytes(
-            edge,
-            &graph.ops[edge.src],
-            &graph.ops[edge.dst],
-            &seqs[edge.src],
-            &seqs[edge.dst],
-        ) / 2.0; // the helper returns fwd+bwd; each direction pays half
-        let t = ctx.redistribution_time(bytes);
-        if t > 0.0 {
-            timeline.push(TimelineEvent {
-                op: format!(
-                    "{}->{} {direction}",
-                    graph.ops[edge.src].name, graph.ops[edge.dst].name
-                ),
-                phase: if direction == "fwd" {
-                    Phase::Forward
-                } else {
-                    Phase::Backward
-                },
-                kind: EventKind::Redistribution,
-                start: *now,
-                duration: t,
-            });
-            breakdown.redistribution += t;
-            acct.on_redistribution(t, redistribution_link_class(cluster), bytes, *now + t);
-            *now += t;
-        }
+                        phase: Phase| {
+        let Some(half) = edge_charge(&ctx, graph, seqs, edge).map(|c| c.per_direction()) else {
+            return;
+        };
+        let direction = if phase == Phase::Forward {
+            "fwd"
+        } else {
+            "bwd"
+        };
+        timeline.push(TimelineEvent {
+            op: format!(
+                "{}->{} {direction}",
+                graph.ops[edge.src].name, graph.ops[edge.dst].name
+            ),
+            phase,
+            kind: EventKind::Redistribution,
+            start: *now,
+            duration: half.seconds,
+        });
+        breakdown.redistribution += half.seconds;
+        acct.on_redistribution(half.seconds, half.link, half.bytes, *now + half.seconds);
+        *now += half.seconds;
     };
 
     // With recomputation only the layer-boundary activation survives the
@@ -186,7 +182,7 @@ pub fn simulate_layer_with(
                 &mut timeline,
                 &mut acct,
                 edge,
-                "fwd",
+                Phase::Forward,
             );
         }
         // Double buffers and stash become live while the operator runs.
@@ -222,7 +218,7 @@ pub fn simulate_layer_with(
                 &mut timeline,
                 &mut acct,
                 edge,
-                "bwd",
+                Phase::Backward,
             );
         }
         live += mems[i].double_buffer;

@@ -47,8 +47,8 @@ mod robustness;
 mod trace;
 
 pub use accounting::{
-    indicator_link_class, redistribution_link_class, ByteSample, ClusterAccounting,
-    CollectiveAccount, DeviceAccount, LinkAccount,
+    indicator_link_class, ByteSample, ClusterAccounting, CollectiveAccount, DeviceAccount,
+    LinkAccount,
 };
 pub use des::{simulate_layer_des, DesOptions, DesReport};
 pub use elastic::{

@@ -52,17 +52,23 @@ if [ -d results ]; then
     ./target/release/primepar validate --dir results
 fi
 
-echo "== drift audit smoke (Fig. 9 workload: OPT-175B MLP block, 8 GPUs) =="
-# Must be deterministic: two runs, identical bytes.
-./target/release/primepar audit --model opt-175b --devices 8 --mlp-block \
-    >"$artifacts/audit1.txt"
-./target/release/primepar audit --model opt-175b --devices 8 --mlp-block \
-    >"$artifacts/audit2.txt"
-cmp "$artifacts/audit1.txt" "$artifacts/audit2.txt" \
-    || { echo "audit output is not deterministic" >&2; exit 1; }
-grep -q "conservation: busy+idle = makespan on 8 devices: ok" \
-    "$artifacts/audit1.txt" \
-    || { echo "audit conservation check violated" >&2; exit 1; }
+echo "== drift audit smoke (Fig. 9 MLP block @ 8 GPUs, Table-2 layer @ 16 GPUs) =="
+# Must be deterministic (two runs, identical bytes), conserve time, and show
+# no layer-time drift: the simulator executes the cost model's charges.
+for point in "opt-175b 8 --mlp-block" "opt-6.7b 16"; do
+    read -r model devices block <<<"$point"
+    ./target/release/primepar audit --model "$model" --devices "$devices" $block \
+        >"$artifacts/audit1.txt"
+    ./target/release/primepar audit --model "$model" --devices "$devices" $block \
+        >"$artifacts/audit2.txt"
+    cmp "$artifacts/audit1.txt" "$artifacts/audit2.txt" \
+        || { echo "audit output is not deterministic ($point)" >&2; exit 1; }
+    grep -q "conservation: busy+idle = makespan on $devices devices: ok" \
+        "$artifacts/audit1.txt" \
+        || { echo "audit conservation check violated ($point)" >&2; exit 1; }
+    grep -Eq "^layer time: .*, drift [+-]0\.000%$" "$artifacts/audit1.txt" \
+        || { echo "audit layer-time drift is not zero ($point)" >&2; exit 1; }
+done
 
 echo "== robustness determinism smoke (Fig. 9 workload, seeded variance sweep) =="
 # Same seed twice must give byte-identical console output, metrics JSON and
